@@ -86,7 +86,7 @@ QueryService::QueryService(Graph* graph, const EngineProfile& profile,
                                 ViewCatalogOptions{}.max_ledger_entries}),
       view_advisor_(ViewAdvisorOptions{options_.view_pin_limit,
                                        options_.view_min_observations}) {
-  std::lock_guard<std::mutex> lock(graph_mu_);
+  std::lock_guard<std::mutex> lock(update_mu_);
   InstallSnapshot(BuildSnapshotLocked(epoch_.Current()));
   Metrics().epoch->Set(static_cast<int64_t>(epoch_.Current()));
 }
@@ -132,7 +132,12 @@ QueryService::BuildSnapshotLocked(Epoch epoch) const {
     data.AttachHierarchy(std::make_shared<const HierarchyEncoding>(
         HierarchyEncoding::Build(schema, graph_->vocab().rdf_type)));
   }
-  TripleStore saturated = Saturate(data, schema, graph_->vocab()).store;
+  // Only saturation answering reads the saturated store; every other
+  // strategy reformulates over `data`, so nothing entailed is materialized.
+  TripleStore saturated;
+  if (MaintainsSaturation()) {
+    saturated = Saturate(data, schema, graph_->vocab()).store;
+  }
   Statistics stats = Statistics::Compute(data);
   return std::make_shared<Snapshot>(epoch, std::move(data),
                                     std::move(saturated), std::move(stats),
@@ -141,15 +146,22 @@ QueryService::BuildSnapshotLocked(Epoch epoch) const {
 }
 
 Status QueryService::ApplyUpdate(const std::vector<Triple>& additions) {
-  std::lock_guard<std::mutex> lock(graph_mu_);
+  std::lock_guard<std::mutex> update_lock(update_mu_);
+  {
+    // The dictionary is the only state shared with readers (parsing interns
+    // constants); everything below reads or writes writer-owned state.
+    std::lock_guard<std::mutex> graph_lock(graph_mu_);
+    for (const Triple& t : additions) {
+      if (!graph_->dict().Contains(t.s) || !graph_->dict().Contains(t.p) ||
+          !graph_->dict().Contains(t.o)) {
+        return Status::InvalidArgument("update triple uses un-interned ids");
+      }
+    }
+  }
   const size_t schema_before = graph_->num_schema_triples();
   std::vector<Triple> data_delta;
   data_delta.reserve(additions.size());
   for (const Triple& t : additions) {
-    if (!graph_->dict().Contains(t.s) || !graph_->dict().Contains(t.p) ||
-        !graph_->dict().Contains(t.o)) {
-      return Status::InvalidArgument("update triple uses un-interned ids");
-    }
     graph_->AddEncoded(t.s, t.p, t.o);
     if (!graph_->vocab().IsSchemaProperty(t.p)) data_delta.push_back(t);
   }
@@ -167,22 +179,26 @@ Status QueryService::ApplyUpdate(const std::vector<Triple>& additions) {
     }
     return Status::OK();
   }
-  // Data-only delta: merge the sorted indexes and reason over the delta
-  // alone (saturation distributes over union in the DB fragment; see
-  // IncrementalSaturate).
+  // Data-only delta: merge the sorted indexes, derive the statistics from
+  // the delta's point lookups, and (saturation strategy only) reason over
+  // the delta alone — saturation distributes over union in the DB
+  // fragment; see IncrementalSaturate.
   std::shared_ptr<const Snapshot> current = CurrentSnapshot();
-  TripleStore data =
-      TripleStore::Merge(current->data, TripleStore::Build(data_delta));
+  const TripleStore delta = TripleStore::Build(data_delta);
+  TripleStore data = TripleStore::Merge(current->data, delta);
   if (current->data.hierarchy_ptr() != nullptr) {
     // Schema unchanged, so the hid assignment carries over; only the shadow
     // index is rebuilt over the merged triples.
     data.AttachHierarchy(current->data.hierarchy_ptr());
   }
-  TripleStore saturated =
-      IncrementalSaturate(current->saturated, data_delta, current->schema,
-                          graph_->vocab())
-          .store;
-  Statistics stats = Statistics::Compute(data);
+  TripleStore saturated;
+  if (MaintainsSaturation()) {
+    saturated = IncrementalSaturate(current->saturated, data_delta,
+                                    current->schema, graph_->vocab())
+                    .store;
+  }
+  Statistics stats =
+      Statistics::ComputeMerged(current->stats, current->data, delta);
   std::shared_ptr<const Snapshot> next = std::make_shared<Snapshot>(
       epoch, std::move(data), std::move(saturated), std::move(stats),
       ReplaySchemaLocked(), options_.enable_feedback);
@@ -194,7 +210,7 @@ Status QueryService::ApplyUpdate(const std::vector<Triple>& additions) {
 }
 
 void QueryService::Refresh() {
-  std::lock_guard<std::mutex> lock(graph_mu_);
+  std::lock_guard<std::mutex> lock(update_mu_);
   const Epoch epoch = epoch_.Advance();
   Metrics().epoch_bumps->Increment();
   Metrics().epoch->Set(static_cast<int64_t>(epoch));
@@ -428,7 +444,8 @@ Result<ServiceOutcome> QueryService::AnswerOnSnapshot(
   // Miss: run the full pipeline on the *canonical* query — not the submitted
   // one — so hit and miss paths execute literally the same query and produce
   // byte-identical rows. keep_plan harvests the executed plan for the cache.
-  QueryAnswerer answerer(&snapshot->data, &snapshot->saturated,
+  QueryAnswerer answerer(&snapshot->data,
+                         MaintainsSaturation() ? &snapshot->saturated : nullptr,
                          &snapshot->schema, &graph_->vocab(), &snapshot->stats,
                          &request_profile);
   if (options_.enable_feedback) answerer.EnableFeedback(&snapshot->feedback);

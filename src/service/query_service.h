@@ -125,15 +125,18 @@ struct ServiceOutcome {
 /// during evaluation.
 ///
 /// Concurrency contract: `Answer`, `AnswerText`, `ApplyUpdate`, `Refresh`,
-/// `stats` and `DecodeRow` may be called from any thread concurrently. The
-/// `Graph` must not be mutated externally while the service exists (the
-/// service owns its mutation path).
+/// `stats` and `DecodeRow` may be called from any thread concurrently.
+/// Updates serialize among themselves but never block readers beyond a
+/// dictionary-id check. The `Graph` must not be mutated externally while the
+/// service exists (the service owns its mutation path); terms an update
+/// uses must be interned before it, and not concurrently with AnswerText.
 class QueryService {
  public:
   /// `graph` must outlive the service. The constructor builds the initial
-  /// snapshot (store, saturation, statistics, schema closures) from the
-  /// graph's current content; the schema need not be finalized (the service
-  /// replays constraint triples into its own finalized per-snapshot Schema).
+  /// snapshot (store, statistics, schema closures, and the saturated store
+  /// when the strategy is kSaturation) from the graph's current content; the
+  /// schema need not be finalized (the service replays constraint triples
+  /// into its own finalized per-snapshot Schema).
   QueryService(Graph* graph, const EngineProfile& profile,
                ServiceOptions options = {});
 
@@ -154,10 +157,15 @@ class QueryService {
                                     const RequestOptions& request = {});
 
   /// Appends triples (data and/or schema) to the graph and installs a new
-  /// snapshot under a fresh epoch. Data-only deltas are incremental
-  /// (TripleStore::Merge + IncrementalSaturate); a delta containing schema
-  /// triples triggers a full rebuild. In-flight queries finish on their
-  /// pinned snapshot; the plan cache invalidates lazily via the epoch key.
+  /// snapshot under a fresh epoch. Data-only deltas cost O(|delta|) beyond
+  /// copying the indexes (TripleStore::Merge, Statistics::ComputeMerged, and
+  /// IncrementalSaturate under the saturation strategy); a delta containing
+  /// schema triples triggers a full rebuild. Updates serialize on
+  /// `update_mu_` and hold `graph_mu_` only to check that every id is
+  /// interned, so queries parse, run and decode while the snapshot is built.
+  /// In-flight queries finish on their pinned snapshot; the plan cache
+  /// invalidates lazily via the epoch key. Fails with kInvalidArgument,
+  /// adding nothing, if any triple uses an un-interned id.
   Status ApplyUpdate(const std::vector<Triple>& additions);
 
   /// Rebuilds the snapshot from the graph under a fresh epoch without adding
@@ -167,7 +175,7 @@ class QueryService {
 
   /// Decodes one answer row to term strings under the same lock that guards
   /// dictionary growth, so servers can format results concurrently with
-  /// AnswerText calls.
+  /// AnswerText calls. Never waits for an update's snapshot build.
   std::vector<std::string> DecodeRow(const Relation& relation,
                                      size_t row) const;
 
@@ -202,6 +210,7 @@ class QueryService {
   /// One immutable database state: everything the answering pipeline reads.
   /// Built once per epoch, shared read-only afterwards; requests pin it with
   /// a shared_ptr so updates never invalidate memory under an evaluation.
+  /// `saturated` is empty unless MaintainsSaturation().
   struct Snapshot {
     Snapshot(Epoch e, TripleStore d, TripleStore sat, Statistics st,
              Schema sch, bool enable_feedback)
@@ -233,11 +242,16 @@ class QueryService {
 
   std::shared_ptr<const Snapshot> CurrentSnapshot() const;
   void InstallSnapshot(std::shared_ptr<const Snapshot> snapshot);
-  /// Full rebuild from the graph's current content. Caller holds graph_mu_.
+  /// Full rebuild from the graph's current content. Caller holds update_mu_.
   std::shared_ptr<const Snapshot> BuildSnapshotLocked(Epoch epoch) const;
   /// Replays the graph's constraint triples into a finalized Schema. Caller
-  /// holds graph_mu_.
+  /// holds update_mu_.
   Schema ReplaySchemaLocked() const;
+  /// Whether snapshots carry a saturated store: only saturation answering
+  /// reads one. Fixed for the service's lifetime (options_ is const).
+  bool MaintainsSaturation() const {
+    return options_.answer.strategy == Strategy::kSaturation;
+  }
 
   Result<ServiceOutcome> AnswerOnSnapshot(
       const CanonicalizedQuery& canonical,
@@ -267,8 +281,14 @@ class QueryService {
   /// Queries answered since the last advisor pass (view_advisor_interval).
   std::atomic<uint64_t> advisor_tick_{0};
 
-  /// Serializes dictionary/graph mutation (query parsing interns constants,
-  /// updates append triples) and dictionary reads (DecodeRow).
+  /// Serializes writers (ApplyUpdate, Refresh): appending to the graph's
+  /// triple logs, building the next snapshot and maintaining views. The
+  /// graph's data and schema triples are read and written only under it.
+  /// Readers never take it.
+  std::mutex update_mu_;
+  /// Guards the dictionary alone: parse-time interning (AnswerText), term
+  /// lookups (DecodeRow) and an update's interned-id check. Held for
+  /// microseconds, never across a snapshot build. Order: update_mu_ first.
   mutable std::mutex graph_mu_;
 
   mutable std::mutex snapshot_mu_;

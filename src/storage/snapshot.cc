@@ -1,7 +1,12 @@
 #include "storage/snapshot.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <string>
 
 namespace rdfopt {
 
@@ -60,9 +65,15 @@ Status ReadTriples(std::istream& in, size_t num_terms, const char* what,
 }  // namespace
 
 Status SaveGraphSnapshot(const Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  // Written to a private temporary and renamed into place, so a reader (or a
+  // concurrent writer of the same path) sees either the old file or the
+  // complete new one, never a torn write.
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                           std::to_string(next_temp.fetch_add(1));
+  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
   if (!out) {
-    return Status::InvalidArgument("cannot open " + path + " for writing");
+    return Status::InvalidArgument("cannot open " + temp + " for writing");
   }
   out.write(kMagic, sizeof(kMagic));
   WriteU32(out, kVersion);
@@ -78,8 +89,15 @@ Status SaveGraphSnapshot(const Graph& graph, const std::string& path) {
   }
   WriteTriples(out, graph.schema_triples());
   WriteTriples(out, graph.data_triples());
-  out.flush();
-  if (!out) return Status::Internal("write to " + path + " failed");
+  out.close();
+  if (!out) {
+    std::remove(temp.c_str());
+    return Status::Internal("write to " + temp + " failed");
+  }
+  if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    std::remove(temp.c_str());
+    return Status::Internal("cannot rename " + temp + " to " + path);
+  }
   return Status::OK();
 }
 

@@ -21,6 +21,8 @@ namespace rdfopt {
 ///
 /// Term ids are implicit (dense, in dictionary order), so triples reference
 /// terms by position. Snapshots are not portable across endiannesses.
+/// The file is written to a temporary beside `path` and renamed over it, so
+/// `path` never holds a partial snapshot.
 Status SaveGraphSnapshot(const Graph& graph, const std::string& path);
 
 /// Loads a snapshot written by SaveGraphSnapshot. The returned graph's

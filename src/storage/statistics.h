@@ -28,6 +28,15 @@ class Statistics {
   /// One pass over the store per summary; call once per store.
   static Statistics Compute(const TripleStore& store);
 
+  /// Statistics of TripleStore::Merge(before_store, delta), derived from
+  /// `before` = Compute(before_store) in O(|delta| log n): point lookups on
+  /// `before_store` decide which of the delta's triples, subjects, objects
+  /// and per-property subjects/objects are new. Equal, field for field, to
+  /// Compute of the merged store.
+  static Statistics ComputeMerged(const Statistics& before,
+                                  const TripleStore& before_store,
+                                  const TripleStore& delta);
+
   Statistics() = default;
 
   size_t total_triples() const { return total_triples_; }

@@ -1,6 +1,8 @@
 #include "storage/triple_store.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <functional>
 
 namespace rdfopt {
 
@@ -33,14 +35,41 @@ TripleStore TripleStore::Build(std::vector<Triple> triples) {
 
 namespace {
 
-template <typename Order>
-std::vector<Triple> MergeSorted(const std::vector<Triple>& a,
-                                const std::vector<Triple>& b) {
-  std::vector<Triple> out;
+/// First position in sorted [first, last) not less than `x`, found by
+/// exponential probing from `first`: O(log d) comparisons for a target d
+/// elements ahead, so walking k sorted targets across n elements costs
+/// O(k log(n/k)) instead of O(n).
+template <typename It, typename T, typename Less>
+It GallopLowerBound(It first, It last, const T& x, Less less) {
+  ptrdiff_t step = 1;
+  while (step < last - first && less(first[step], x)) {
+    first += step;
+    step *= 2;
+  }
+  return std::lower_bound(first, first + std::min(step, last - first), x,
+                          less);
+}
+
+/// Union of two sorted duplicate-free sequences, sorted and duplicate-free.
+/// Each element of the smaller side gallops to its place in the larger one;
+/// the run of the larger side before it is bulk-copied, and an element
+/// present on both sides is emitted once.
+template <typename T, typename Less>
+std::vector<T> MergeSets(const std::vector<T>& a, const std::vector<T>& b,
+                         Less less) {
+  const std::vector<T>& small = a.size() < b.size() ? a : b;
+  const std::vector<T>& large = a.size() < b.size() ? b : a;
+  std::vector<T> out;
   out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out),
-             Order());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  auto pos = large.begin();
+  for (const T& x : small) {
+    auto it = GallopLowerBound(pos, large.end(), x, less);
+    out.insert(out.end(), pos, it);
+    if (it != large.end() && !less(x, *it)) ++it;  // Present on both sides.
+    out.push_back(x);
+    pos = it;
+  }
+  out.insert(out.end(), pos, large.end());
   return out;
 }
 
@@ -48,16 +77,12 @@ std::vector<Triple> MergeSorted(const std::vector<Triple>& a,
 
 TripleStore TripleStore::Merge(const TripleStore& a, const TripleStore& b) {
   TripleStore store;
-  store.spo_ = MergeSorted<OrderSpo>(a.spo_, b.spo_);
-  store.pso_ = MergeSorted<OrderPso>(a.pso_, b.pso_);
-  store.pos_ = MergeSorted<OrderPos>(a.pos_, b.pos_);
-  store.osp_ = MergeSorted<OrderOsp>(a.osp_, b.osp_);
-  std::merge(a.properties_.begin(), a.properties_.end(),
-             b.properties_.begin(), b.properties_.end(),
-             std::back_inserter(store.properties_));
-  store.properties_.erase(
-      std::unique(store.properties_.begin(), store.properties_.end()),
-      store.properties_.end());
+  store.spo_ = MergeSets(a.spo_, b.spo_, OrderSpo());
+  store.pso_ = MergeSets(a.pso_, b.pso_, OrderPso());
+  store.pos_ = MergeSets(a.pos_, b.pos_, OrderPos());
+  store.osp_ = MergeSets(a.osp_, b.osp_, OrderOsp());
+  store.properties_ =
+      MergeSets(a.properties_, b.properties_, std::less<ValueId>());
   return store;
 }
 
@@ -68,6 +93,20 @@ std::span<const Triple> TripleStore::PrefixRange(
   auto end = std::upper_bound(begin, index.end(), hi, Order());
   return {index.data() + (begin - index.begin()),
           static_cast<size_t>(end - begin)};
+}
+
+std::span<const Triple> TripleStore::Index(IndexOrder order) const {
+  switch (order) {
+    case IndexOrder::kSpo:
+      return spo_;
+    case IndexOrder::kPso:
+      return pso_;
+    case IndexOrder::kPos:
+      return pos_;
+    case IndexOrder::kOsp:
+      return osp_;
+  }
+  return {};
 }
 
 std::span<const Triple> TripleStore::Match(ValueId s, ValueId p,

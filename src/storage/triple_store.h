@@ -30,9 +30,12 @@ class TripleStore {
   /// Builds the four indexes from `triples` (duplicates removed).
   static TripleStore Build(std::vector<Triple> triples);
 
-  /// Merges two stores in O(|a| + |b|): each of the four sorted indexes is
-  /// merged directly, skipping the O(n log n) re-sort of Build. This is what
-  /// makes incremental saturation maintenance linear in the database size.
+  /// Merges two stores; equals Build of their concatenation. Each of the
+  /// four sorted indexes is merged directly, skipping Build's re-sort: every
+  /// triple of the smaller store gallops to its place in the larger one, so
+  /// comparisons are O(k log(n/k)) for k = min size and the rest of the work
+  /// is bulk copying. Merging a small delta into a large store is therefore
+  /// dominated by memcpy, not by comparisons.
   static TripleStore Merge(const TripleStore& a, const TripleStore& b);
 
   TripleStore() = default;
@@ -60,6 +63,10 @@ class TripleStore {
 
   /// All triples in SPO order.
   std::span<const Triple> All() const { return spo_; }
+
+  /// One whole sorted index, e.g. kOsp to walk distinct objects in one pass.
+  enum class IndexOrder { kSpo, kPso, kPos, kOsp };
+  std::span<const Triple> Index(IndexOrder order) const;
 
   /// Distinct subjects (resp. objects) among triples with property `p`;
   /// O(result) using the PSO (resp. POS) index. Used by statistics.

@@ -1,7 +1,11 @@
 #include "service/query_service.h"
 
+#include <atomic>
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -9,6 +13,8 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "engine/evaluator.h"
+#include "reasoner/saturation.h"
 #include "service/admission.h"
 #include "service/canonical.h"
 #include "service/query_cache.h"
@@ -431,6 +437,225 @@ TEST(ServiceEpochTest, CacheDisabledAlwaysMisses) {
   EXPECT_FALSE(service.AnswerText(q).ValueOrDie().cache_hit);
   EXPECT_FALSE(service.AnswerText(q).ValueOrDie().cache_hit);
   EXPECT_EQ(service.stats().cache.entries, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Data updates against the saturation oracle (paper Thm 3.1): answers at
+// every epoch equal the query evaluated on saturate(data at that epoch),
+// with readers racing the writer and under the saturation strategy, whose
+// service alone maintains a saturated store.
+// ---------------------------------------------------------------------------
+
+using DecodedRows = std::set<std::vector<std::string>>;
+
+constexpr char kEx[] = "http://ex/";
+constexpr char kRdfType[] = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
+constexpr char kRdfs[] = "http://www.w3.org/2000/01/rdf-schema#";
+
+/// A small RDFS world in which every entailment rule of the DB fragment
+/// shapes the answers: subclass, subproperty, domain and range.
+class ServiceUpdateTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kBatches = 8;
+
+  void SetUp() override {
+    const auto ex = [](const std::string& local) { return kEx + local; };
+    const std::string rdfs = kRdfs;
+    graph_.AddIri(ex("GradStudent"), rdfs + "subClassOf", ex("Student"));
+    graph_.AddIri(ex("Student"), rdfs + "subClassOf", ex("Person"));
+    graph_.AddIri(ex("Professor"), rdfs + "subClassOf", ex("Person"));
+    graph_.AddIri(ex("advisor"), rdfs + "subPropertyOf", ex("knows"));
+    graph_.AddIri(ex("advisor"), rdfs + "domain", ex("GradStudent"));
+    graph_.AddIri(ex("advisor"), rdfs + "range", ex("Professor"));
+    graph_.AddIri(ex("teaches"), rdfs + "domain", ex("Professor"));
+    graph_.AddIri(ex("s0"), kRdfType, ex("Student"));
+    graph_.AddIri(ex("p0"), ex("teaches"), ex("c0"));
+    graph_.FinalizeSchema();
+    base_ = graph_.data_triples();
+    // Every term is interned now, before any service or reader exists:
+    // updates carry ids only.
+    const auto id = [&](const std::string& local) {
+      return graph_.dict().InternIri(ex(local));
+    };
+    const ValueId type = graph_.dict().InternIri(kRdfType);
+    for (size_t k = 1; k <= kBatches; ++k) {
+      const std::string n = std::to_string(k);
+      std::vector<Triple> batch = {
+          {id("s" + n), id("advisor"), id("p" + n)},
+          {id("p" + n), id("teaches"), id("c" + n)},
+          {id("x" + n), id("knows"), id("s" + std::to_string(k - 1))},
+          {id("x" + n), type, id(k % 2 == 0 ? "Student" : "GradStudent")},
+          // Already present at every epoch after the first batch: the
+          // merge and statistics paths see duplicates too.
+          {id("s1"), id("advisor"), id("p1")}};
+      batches_.push_back(std::move(batch));
+    }
+  }
+
+  static const std::vector<std::string>& Queries() {
+    static const std::vector<std::string> queries = {
+        "SELECT ?x WHERE { ?x rdf:type <http://ex/Person> }",
+        "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . "
+        "?y rdf:type <http://ex/Professor> }",
+        "SELECT ?x ?c WHERE { ?x rdf:type <http://ex/Person> . "
+        "?x <http://ex/teaches> ?c }",
+        "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . "
+        "?x rdf:type <http://ex/GradStudent> }"};
+    return queries;
+  }
+
+  /// Rows of `text` evaluated directly on saturate(data at `epoch`),
+  /// decoded to terms. Data-only updates leave the schema as it was.
+  DecodedRows OracleRows(const std::string& text, Epoch epoch) {
+    std::vector<Triple> data = base_;
+    for (size_t k = 0; k < epoch; ++k) {
+      data.insert(data.end(), batches_[k].begin(), batches_[k].end());
+    }
+    const TripleStore saturated =
+        Saturate(TripleStore::Build(std::move(data)), graph_.schema(),
+                 graph_.vocab())
+            .store;
+    Result<Query> query = ParseQuery(text, &graph_.dict());
+    EXPECT_TRUE(query.ok()) << query.status().ToString();
+    Evaluator evaluator(&saturated, &NativeStoreProfile());
+    Result<Relation> rows =
+        evaluator.EvaluateCQ(query.ValueOrDie().cq, nullptr);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    DecodedRows out;
+    const Relation& relation = rows.ValueOrDie();
+    for (size_t r = 0; r < relation.num_rows(); ++r) {
+      std::vector<std::string> row;
+      for (size_t c = 0; c < relation.arity(); ++c) {
+        row.push_back(graph_.dict().term(relation.at(r, c)).lexical);
+      }
+      out.insert(std::move(row));
+    }
+    return out;
+  }
+
+  static DecodedRows ServiceRows(const QueryService& service,
+                                 const Relation& answers) {
+    DecodedRows out;
+    for (size_t r = 0; r < answers.num_rows(); ++r) {
+      out.insert(service.DecodeRow(answers, r));
+    }
+    return out;
+  }
+
+  Graph graph_;
+  std::vector<Triple> base_;
+  std::vector<std::vector<Triple>> batches_;
+};
+
+TEST_F(ServiceUpdateTest, ReadersMatchOracleAtTheirEpochWhileWriterUpdates) {
+  ServiceOptions options;
+  options.enable_views = true;
+  options.view_advisor_interval = 4;
+  options.view_min_observations = 1;
+  QueryService service(&graph_, PostgresLikeProfile(), options);
+
+  struct Observed {
+    size_t query;
+    Epoch epoch;
+    DecodedRows rows;
+  };
+  std::mutex observed_mu;
+  std::vector<Observed> observed;
+  std::atomic<bool> writer_done{false};
+  // -1 until the first answer, so the writer waits for epoch 0 too.
+  std::atomic<int64_t> max_answered_epoch{-1};
+  std::atomic<int> failures{0};
+
+  constexpr int kReaders = 3;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t i = r; !writer_done.load(); ++i) {
+        const size_t qi = i % Queries().size();
+        Result<ServiceOutcome> answer = service.AnswerText(Queries()[qi]);
+        if (!answer.ok()) {
+          ++failures;
+          continue;
+        }
+        const ServiceOutcome& outcome = answer.ValueOrDie();
+        Observed o{qi, outcome.epoch, ServiceRows(service, outcome.answers)};
+        {
+          std::lock_guard<std::mutex> lock(observed_mu);
+          observed.push_back(std::move(o));
+        }
+        const auto epoch = static_cast<int64_t>(outcome.epoch);
+        int64_t seen = max_answered_epoch.load();
+        while (seen < epoch &&
+               !max_answered_epoch.compare_exchange_weak(seen, epoch)) {
+        }
+      }
+    });
+  }
+
+  // The writer applies each batch once some reader has answered at the
+  // current epoch, so every epoch is observed while updates keep racing
+  // reads.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(60);
+  const auto await_answer_at_current_epoch = [&] {
+    while (max_answered_epoch.load() <
+               static_cast<int64_t>(service.epoch()) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  for (const std::vector<Triple>& batch : batches_) {
+    await_answer_at_current_epoch();
+    ASSERT_TRUE(service.ApplyUpdate(batch).ok());
+  }
+  await_answer_at_current_epoch();
+  writer_done = true;
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(service.epoch(), kBatches);
+  std::map<std::pair<size_t, Epoch>, DecodedRows> oracle;
+  std::set<Epoch> epochs;
+  for (const Observed& o : observed) {
+    epochs.insert(o.epoch);
+    auto key = std::make_pair(o.query, o.epoch);
+    auto it = oracle.find(key);
+    if (it == oracle.end()) {
+      it = oracle.emplace(key, OracleRows(Queries()[o.query], o.epoch)).first;
+    }
+    EXPECT_EQ(o.rows, it->second)
+        << "query " << o.query << " at epoch " << o.epoch;
+  }
+  EXPECT_EQ(epochs.size(), kBatches + 1);
+}
+
+TEST_F(ServiceUpdateTest, SaturationStrategyMaintainsSaturatedStore) {
+  ServiceOptions options;
+  options.answer.strategy = Strategy::kSaturation;
+  QueryService service(&graph_, PostgresLikeProfile(), options);
+  for (Epoch epoch = 0; epoch <= kBatches; ++epoch) {
+    if (epoch > 0) {
+      ASSERT_TRUE(service.ApplyUpdate(batches_[epoch - 1]).ok());
+    }
+    for (const std::string& text : Queries()) {
+      Result<ServiceOutcome> answer = service.AnswerText(text);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_EQ(answer.ValueOrDie().epoch, epoch);
+      EXPECT_EQ(ServiceRows(service, answer.ValueOrDie().answers),
+                OracleRows(text, epoch))
+          << text << " at epoch " << epoch;
+    }
+  }
+}
+
+TEST_F(ServiceUpdateTest, RejectedUpdateAddsNothing) {
+  QueryService service(&graph_, PostgresLikeProfile());
+  const size_t before = graph_.num_data_triples();
+  std::vector<Triple> update = batches_[0];
+  update.push_back(Triple{0, 0, static_cast<ValueId>(graph_.dict().size())});
+  EXPECT_EQ(service.ApplyUpdate(update).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(graph_.num_data_triples(), before);
+  EXPECT_EQ(service.epoch(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include "storage/snapshot.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,8 +15,12 @@ namespace {
 
 class SnapshotTest : public ::testing::Test {
  protected:
+  // ctest runs each test as its own process, possibly in parallel: every
+  // test gets a path of its own.
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/rdfopt_snapshot_test.bin";
+    path_ = ::testing::TempDir() + "/rdfopt_snapshot_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "random_store.h"
 #include "workload/lubm.h"
 
 namespace rdfopt {
@@ -112,6 +113,35 @@ TEST(TripleStoreMergeTest, MergeWithEmpty) {
   EXPECT_EQ(TripleStore::Merge(a, empty).size(), 1u);
   EXPECT_EQ(TripleStore::Merge(empty, a).size(), 1u);
   EXPECT_EQ(TripleStore::Merge(empty, empty).size(), 0u);
+}
+
+void ExpectSameIndexes(const TripleStore& got, const TripleStore& want) {
+  using Order = TripleStore::IndexOrder;
+  for (Order order : {Order::kSpo, Order::kPso, Order::kPos, Order::kOsp}) {
+    std::span<const Triple> g = got.Index(order);
+    std::span<const Triple> w = want.Index(order);
+    ASSERT_EQ(g.size(), w.size()) << "index " << static_cast<int>(order);
+    EXPECT_TRUE(std::equal(g.begin(), g.end(), w.begin()))
+        << "index " << static_cast<int>(order);
+  }
+  EXPECT_EQ(got.properties(), want.properties());
+}
+
+// Merge in either argument order is bit-identical to Build of the union, in
+// every index, across empty sides, shared and duplicate triples, and size
+// ratios up to 1:10^4 (the galloping path).
+TEST(TripleStoreMergeTest, RandomMergesEqualBuildOfUnion) {
+  for (const MergeCase& c : MergeCases()) {
+    SCOPED_TRACE(c.Name());
+    auto [raw_a, raw_b] = RandomMergeSides(c);
+    std::vector<Triple> both = raw_a;
+    both.insert(both.end(), raw_b.begin(), raw_b.end());
+    const TripleStore a = TripleStore::Build(std::move(raw_a));
+    const TripleStore b = TripleStore::Build(std::move(raw_b));
+    const TripleStore want = TripleStore::Build(std::move(both));
+    ExpectSameIndexes(TripleStore::Merge(a, b), want);
+    ExpectSameIndexes(TripleStore::Merge(b, a), want);
+  }
 }
 
 // Cross-check Match against a brute-force filter on a generated dataset.
