@@ -96,11 +96,8 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin);
 
-// Duplicate-elimination variants over the same doubled rdf:type scan (~2x
-// duplication). BM_Deduplicate is the engine's production path (radix-
-// partitioned stable hash dedup, Relation::Deduplicate); BM_DeduplicateSort
-// is the seed's sort-based algorithm kept as Relation::DeduplicateSorted.
-// Both preserve first-occurrence order, so their outputs are identical.
+// Duplicate elimination (radix-partitioned stable hash dedup,
+// Relation::Deduplicate) over a doubled rdf:type scan (~2x duplication).
 Relation DoubledTypeScan(MicroEnv& env) {
   Relation base = ScanAtom(env.store,
                            TriplePattern{PatternTerm::Var(0),
@@ -122,17 +119,6 @@ void BM_Deduplicate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Deduplicate);
-
-void BM_DeduplicateSort(benchmark::State& state) {
-  MicroEnv& env = Env();
-  for (auto _ : state) {
-    state.PauseTiming();
-    Relation copy = DoubledTypeScan(env);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(copy.DeduplicateSorted());
-  }
-}
-BENCHMARK(BM_DeduplicateSort);
 
 // Tracing-off evaluator baseline: with no installed TraceSession every
 // span construction is one thread-local load + branch. Compare against

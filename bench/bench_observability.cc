@@ -22,6 +22,7 @@
 #include "engine/evaluator.h"
 #include "engine/planner.h"
 #include "reformulation/reformulator.h"
+#include "service/canonical.h"
 #include "service/slow_log.h"
 #include "workload/query_sets.h"
 
@@ -160,10 +161,10 @@ int Main(int argc, char** argv) {
     }
   });
 
-  TimeCase("fragment_signature_1k", /*warmup=*/1, reps, [&] {
+  TimeCase("fragment_key_1k", /*warmup=*/1, reps, [&] {
     for (size_t i = 0; i < 1'000; ++i) {
-      std::string sig = FragmentSignature(fragment);
-      if (sig.empty()) std::abort();
+      std::string key = FragmentKey(fragment);
+      if (key.empty()) std::abort();
     }
   });
 

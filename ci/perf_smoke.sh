@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Executor perf smoke: runs the headline batch-engine benchmark
-# (BM_ExecutePlannedJucq), the dedup microbenchmarks, the
-# hierarchy-range collapse pair (BM_ExecuteScanRangeJucq vs
-# BM_ExecuteUnionOfScansJucq), and the materialized-view pair
-# (BM_ExecuteViewScanJucq vs BM_ExecuteViewsOffJucq), and fails if the
-# executor regresses more than the budget against the checked-in sidecar
-# (BENCH_baseline.json).
+# (BM_ExecutePlannedJucq), the hierarchy-range collapse pair
+# (BM_ExecuteScanRangeJucq vs BM_ExecuteUnionOfScansJucq), and the
+# materialized-view pair (BM_ExecuteViewScanJucq vs BM_ExecuteViewsOffJucq),
+# and fails if the executor regresses more than the budget against the
+# checked-in sidecar (BENCH_baseline.json).
 #
 # The baseline was recorded on a different machine, so an absolute
 # comparison would be noise; instead the gate is relative to the recorded
@@ -38,7 +37,7 @@ if [[ ! -f "$BASELINE" ]]; then
 fi
 
 "$BENCH" \
-  --benchmark_filter='BM_ExecutePlannedJucq(Tuple)?$|BM_Deduplicate(Sort)?$|BM_Execute(ScanRange|UnionOfScans|ViewScan|ViewsOff)Jucq$' \
+  --benchmark_filter='BM_ExecutePlannedJucq(Tuple)?$|BM_Execute(ScanRange|UnionOfScans|ViewScan|ViewsOff)Jucq$' \
   --benchmark_out="$OUT" --benchmark_out_format=json
 
 python3 - "$BASELINE" "$OUT" "$BUDGET_PCT" <<'EOF'
@@ -92,8 +91,6 @@ def baseline_ratio(num_name, den_name):
 
 batch = require("BM_ExecutePlannedJucq")
 tuple_t = require("BM_ExecutePlannedJucqTuple")
-dedup = require("BM_Deduplicate")
-dedup_sort = require("BM_DeduplicateSort")
 range_t = require("BM_ExecuteScanRangeJucq")
 union_t = require("BM_ExecuteUnionOfScansJucq")
 view_t = require("BM_ExecuteViewScanJucq")
@@ -116,15 +113,6 @@ if batch and tuple_t:
         failures.append(
             f"BM_ExecutePlannedJucq: batch/tuple ratio {ratio:.1f}x below "
             f"the floor {floor:.1f}x (budget {budget_pct}%)")
-
-# Gate 2: the radix dedup must stay faster than the sort dedup.
-if dedup and dedup_sort:
-    print(f"perf_smoke: dedup radix {dedup/1e3:.0f} us, "
-          f"sort {dedup_sort/1e3:.0f} us")
-    if dedup > dedup_sort:
-        failures.append(
-            f"BM_Deduplicate: radix dedup ({dedup:.0f} ns) slower than the "
-            f"sort path ({dedup_sort:.0f} ns)")
 
 # Gate 3: the hierarchy-range collapse. The ScanRange plan for the
 # fine-grained LUBM Professor query must stay a large multiple faster than

@@ -32,7 +32,7 @@ class CardinalityEstimator {
       : store_(store), stats_(stats) {}
 
   /// Wires runtime estimate feedback (cost/feedback.h) into EstimateCQ:
-  /// a conjunction whose fragment signature has an observed cardinality
+  /// a conjunction whose FragmentKey has an observed cardinality
   /// uses it instead of the System-R formula, so repeated misestimates
   /// self-correct. Opt-in and off by default — paper-reproduction runs and
   /// golden plans must not depend on execution history. Null disables.

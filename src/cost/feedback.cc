@@ -1,122 +1,22 @@
 #include "cost/feedback.h"
 
 #include <algorithm>
-#include <numeric>
-#include <unordered_map>
 
 #include "common/metrics.h"
 #include "engine/plan.h"
+#include "service/canonical.h"
 
 namespace rdfopt {
 
 namespace {
 
-/// `numbering` null: variables render as the blind placeholder "?" (the
-/// sort key); otherwise as their canonical number.
-std::string TermKey(const PatternTerm& t,
-                    const std::unordered_map<VarId, size_t>* numbering) {
-  if (!t.is_var()) return "c" + std::to_string(t.value());
-  if (numbering == nullptr) return "?";
-  return "v" + std::to_string(numbering->at(t.var()));
-}
-
-std::string AtomKey(const TriplePattern& atom,
-                    const std::unordered_map<VarId, size_t>* numbering) {
-  return "(" + TermKey(atom.s, numbering) + "," + TermKey(atom.p, numbering) +
-         "," + TermKey(atom.o, numbering) + ")";
+bool DrivenByRange(const PlanNode& node) {
+  if (node.kind == PlanNodeKind::kScanRange) return true;
+  return std::any_of(node.children.begin(), node.children.end(),
+                     [](const auto& child) { return DrivenByRange(*child); });
 }
 
 }  // namespace
-
-std::string FragmentSignature(const ConjunctiveQuery& cq) {
-  // 1. Order atoms by their variable-blind serialization: atom order in the
-  //    query must not matter, and variable ids cannot take part yet.
-  std::vector<size_t> order(cq.atoms.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::vector<std::string> blind(cq.atoms.size());
-  for (size_t i = 0; i < cq.atoms.size(); ++i) {
-    blind[i] = AtomKey(cq.atoms[i], nullptr);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return blind[a] < blind[b];
-  });
-
-  // 2. Renumber variables by first occurrence along the sorted order, which
-  //    erases the query's own VarIds (α-renaming invariance; atoms whose
-  //    blind keys tie keep a stable order, so the rare ambiguous case is at
-  //    least deterministic per input).
-  std::unordered_map<VarId, size_t> numbering;
-  for (size_t idx : order) {
-    const TriplePattern& atom = cq.atoms[idx];
-    for (const PatternTerm* t : {&atom.s, &atom.p, &atom.o}) {
-      if (t->is_var() && numbering.find(t->var()) == numbering.end()) {
-        numbering.emplace(t->var(), numbering.size());
-      }
-    }
-  }
-
-  // 3. Serialize with canonical numbers and sort once more so the final
-  //    string is independent of residual ordering freedom.
-  std::vector<std::string> keys;
-  keys.reserve(cq.atoms.size());
-  for (size_t idx : order) keys.push_back(AtomKey(cq.atoms[idx], &numbering));
-  std::sort(keys.begin(), keys.end());
-  std::string signature;
-  for (const std::string& key : keys) {
-    if (!signature.empty()) signature += ";";
-    signature += key;
-  }
-  return signature;
-}
-
-std::string ViewSignature(const UnionQuery& ucq) {
-  std::string signature = "h" + std::to_string(ucq.head.size());
-  for (const ConjunctiveQuery& d : ucq.disjuncts) {
-    signature += "|";
-    // Per-disjunct canonical numbering: the UCQ head variables first (in
-    // head order — they are the view's column layout), then the disjunct's
-    // remaining variables by first occurrence in query order. No sorting
-    // anywhere: atom order is part of the key.
-    std::unordered_map<VarId, size_t> numbering;
-    auto number = [&numbering](const PatternTerm& t) {
-      if (t.is_var() && numbering.find(t.var()) == numbering.end()) {
-        numbering.emplace(t.var(), numbering.size());
-      }
-    };
-    for (VarId v : ucq.head) number(PatternTerm::Var(v));
-    for (VarId v : d.head) number(PatternTerm::Var(v));
-    for (const TriplePattern& atom : d.atoms) {
-      number(atom.s);
-      number(atom.p);
-      number(atom.o);
-    }
-    for (const auto& [var, value] : d.head_bindings) {
-      number(PatternTerm::Var(var));
-      (void)value;
-    }
-    for (size_t i = 0; i < d.head.size(); ++i) {
-      signature += (i == 0 ? "" : ",");
-      signature += "v" + std::to_string(numbering.at(d.head[i]));
-    }
-    signature += ":";
-    for (size_t i = 0; i < d.atoms.size(); ++i) {
-      if (i != 0) signature += ";";
-      signature += AtomKey(d.atoms[i], &numbering);
-    }
-    // Bindings are a var→constant map; their list order does not affect
-    // projection, so sort them for a canonical rendering.
-    std::vector<std::pair<size_t, ValueId>> bindings;
-    bindings.reserve(d.head_bindings.size());
-    for (const auto& [var, value] : d.head_bindings) {
-      bindings.emplace_back(numbering.at(var), value);
-    }
-    std::sort(bindings.begin(), bindings.end());
-    for (const auto& [var, value] : bindings) {
-      signature += "!v" + std::to_string(var) + "=" + std::to_string(value);
-    }
-  }
-  return signature;
-}
 
 void EstimateFeedbackStore::Record(const ConjunctiveQuery& cq,
                                    double estimated_rows, size_t actual_rows) {
@@ -131,50 +31,39 @@ void EstimateFeedbackStore::Record(const ConjunctiveQuery& cq,
       registry.GetHistogram("cost.estimate_drift");
 
   if (estimated_rows < 0.0) estimated_rows = 0.0;
-  const double ratio =
-      (estimated_rows + 1.0) / (static_cast<double>(actual_rows) + 1.0);
+  const double actual = static_cast<double>(actual_rows);
+  const double ratio = (estimated_rows + 1.0) / (actual + 1.0);
   drift->Observe(std::max(ratio, 1.0 / ratio));
   records->Increment();
 
-  std::string signature = FragmentSignature(cq);
+  std::string key = FragmentKey(cq);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(signature);
-  if (it == entries_.end()) {
-    while (entries_.size() >= options_.max_entries &&
-           !insertion_order_.empty()) {
-      entries_.erase(insertion_order_.front());
-      insertion_order_.pop_front();
-      evictions->Increment();
-    }
-    Entry entry;
-    entry.observed_rows = static_cast<double>(actual_rows);
-    entry.last_estimate = estimated_rows;
-    entry.observations = 1;
-    insertion_order_.push_back(signature);
-    entries_.emplace(std::move(signature), entry);
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    it->second = options_.ewma_alpha * actual +
+                 (1.0 - options_.ewma_alpha) * it->second;
     return;
   }
-  Entry& entry = it->second;
-  entry.observed_rows = options_.ewma_alpha * static_cast<double>(actual_rows) +
-                        (1.0 - options_.ewma_alpha) * entry.observed_rows;
-  entry.last_estimate = estimated_rows;
-  ++entry.observations;
+  while (entries_.size() >= options_.max_entries &&
+         !insertion_order_.empty()) {
+    entries_.erase(insertion_order_.front());
+    insertion_order_.pop_front();
+    evictions->Increment();
+  }
+  insertion_order_.push_back(key);
+  entries_.emplace(std::move(key), actual);
 }
 
 std::optional<double> EstimateFeedbackStore::Lookup(
     const ConjunctiveQuery& cq) const {
-  return LookupSignature(FragmentSignature(cq));
-}
-
-std::optional<double> EstimateFeedbackStore::LookupSignature(
-    const std::string& signature) const {
   static MetricCounter* hits =
       MetricsRegistry::Global().GetCounter("cost.feedback_hits");
+  const std::string key = FragmentKey(cq);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(signature);
+  auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
   hits->Increment();
-  return it->second.observed_rows;
+  return it->second;
 }
 
 void EstimateFeedbackStore::Clear() {
@@ -188,12 +77,6 @@ size_t EstimateFeedbackStore::size() const {
   return entries_.size();
 }
 
-std::vector<std::pair<std::string, EstimateFeedbackStore::Entry>>
-EstimateFeedbackStore::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {entries_.begin(), entries_.end()};
-}
-
 void RecordPlanFeedback(const PhysicalPlan& plan,
                         EstimateFeedbackStore* store) {
   if (store == nullptr) return;
@@ -203,9 +86,12 @@ void RecordPlanFeedback(const PhysicalPlan& plan,
     // over-limit union plans only a sample, so sizes can differ — skip it.
     if (node.disjuncts.size() != node.children.size()) return;
     for (size_t i = 0; i < node.children.size(); ++i) {
-      const PlanNode* child = node.children[i].get();
-      if (!child->executed) continue;  // Short-circuited: no observation.
-      store->Record(node.disjuncts[i], child->est_rows, child->actual_rows);
+      const PlanNode& child = *node.children[i];
+      if (!child.executed) continue;  // Short-circuited: no observation.
+      // A collapsed range branch counts the whole interval's rows, not its
+      // representative disjunct's.
+      if (DrivenByRange(child)) continue;
+      store->Record(node.disjuncts[i], child.est_rows, child.actual_rows);
     }
   });
 }

@@ -1,13 +1,12 @@
 #ifndef RDFOPT_COST_FEEDBACK_H_
 #define RDFOPT_COST_FEEDBACK_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "sparql/query.h"
 
@@ -15,34 +14,15 @@ namespace rdfopt {
 
 struct PhysicalPlan;
 
-/// Canonical signature of a conjunctive fragment: invariant under atom order
-/// and variable renaming (α-equivalence), so the reformulation lattice's
-/// repeated fragments — the same cover fragment reappearing across queries
-/// and plannings — collapse onto one feedback entry. Constants are kept
-/// verbatim (they determine cardinality); variables are renumbered by first
-/// occurrence after sorting the atoms by their variable-blind serialization.
-/// The head is deliberately excluded: the store corrects the conjunction
-/// body estimate (EstimateCQ), which is head-independent.
-std::string FragmentSignature(const ConjunctiveQuery& cq);
-
-/// Canonical signature of a whole component UCQ — the key of the
-/// materialized-view catalog (DESIGN.md §14). Like FragmentSignature it is
-/// invariant under variable renaming, but deliberately NOT under disjunct or
-/// atom permutation, and it includes the head and per-disjunct head
-/// bindings: a view substitutes a component's *rows in order*, and the
-/// planner derives atom order (greedy, tie-broken by input position) and
-/// union output order from exactly this syntactic shape. Two components with
-/// equal ViewSignature therefore plan to the same tree modulo variable
-/// names and produce bit-identical rows against the same snapshot.
-std::string ViewSignature(const UnionQuery& ucq);
-
-/// Estimated-vs-actual cardinality feedback, keyed by FragmentSignature (see
-/// DESIGN.md §8). The evaluator records every executed union disjunct's
-/// (estimate, actual) pair here; CardinalityEstimator consults the store on
-/// subsequent plannings, so a misestimated fragment self-corrects the next
-/// time any query covers it. Each Record also folds the estimate error into
-/// the global `cost.estimate_drift` histogram — the planner-quality signal
-/// `!prom` exports.
+/// Estimated-vs-actual cardinality feedback, keyed by FragmentKey
+/// (service/canonical.h; see DESIGN.md §8). The evaluator records the
+/// executed union disjuncts of every freshly planned plan here;
+/// CardinalityEstimator consults the store on subsequent plannings, so a
+/// misestimated fragment self-corrects the next time any query covers it.
+/// Each Record also folds the estimate error into the global
+/// `cost.estimate_drift` histogram — the planner-quality signal `!prom`
+/// exports. Plan-cache hits do not record: their plan was built on the same
+/// snapshot, whose store already holds the observation of its first run.
 ///
 /// Deliberately opt-in (a plain pointer wired by QueryService /
 /// QueryAnswerer::EnableFeedback, never ambient): paper-reproduction runs
@@ -64,7 +44,7 @@ class EstimateFeedbackStore {
   EstimateFeedbackStore() : options_(Options{}) {}
   explicit EstimateFeedbackStore(Options options) : options_(options) {}
 
-  /// One executed fragment: folds `actual_rows` into the signature's EWMA
+  /// One executed fragment: folds `actual_rows` into the fragment's EWMA
   /// and observes the estimate drift ratio.
   void Record(const ConjunctiveQuery& cq, double estimated_rows,
               size_t actual_rows);
@@ -72,25 +52,17 @@ class EstimateFeedbackStore {
   /// Observed (EWMA) row count of the fragment, if it has been executed
   /// under this store; nullopt otherwise.
   std::optional<double> Lookup(const ConjunctiveQuery& cq) const;
-  std::optional<double> LookupSignature(const std::string& signature) const;
 
   /// Drops every entry (snapshot epoch change).
   void Clear();
 
   size_t size() const;
 
-  struct Entry {
-    double observed_rows = 0.0;   ///< EWMA of actual result rows.
-    double last_estimate = 0.0;   ///< Most recent pre-feedback estimate.
-    uint64_t observations = 0;
-  };
-  /// Copy of the store's contents, in signature order (shell/debugging).
-  std::vector<std::pair<std::string, Entry>> Snapshot() const;
-
  private:
   const Options options_;
   mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;
+  /// FragmentKey → EWMA of the fragment's actual result rows.
+  std::unordered_map<std::string, double> entries_;
   std::deque<std::string> insertion_order_;  ///< FIFO eviction queue.
 };
 
@@ -98,7 +70,10 @@ class EstimateFeedbackStore {
 /// (est_rows, actual_rows) pair: kUnionAll nodes carry their source
 /// ConjunctiveQuery per child (`disjuncts`), and each child chain's root
 /// holds the conjunction-body estimate and actual. Skipped children
-/// (short-circuited, never executed) are not recorded.
+/// (short-circuited, never executed) are not recorded, and neither are
+/// range-driven children: a kScanRange branch's rows are those of the whole
+/// collapsed interval, not of the representative disjunct it is listed
+/// under.
 void RecordPlanFeedback(const PhysicalPlan& plan,
                         EstimateFeedbackStore* store);
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <limits>
 
-#include "cost/feedback.h"
 #include "engine/plan_verifier.h"
+#include "service/canonical.h"
 
 namespace rdfopt {
 

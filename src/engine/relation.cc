@@ -1,8 +1,6 @@
 #include "engine/relation.h"
 
-#include <algorithm>
 #include <cstring>
-#include <numeric>
 
 #include "common/check.h"
 
@@ -247,46 +245,6 @@ size_t Relation::Deduplicate(bool prefetch) {
   // Stable compaction: survivors keep their original relative order — the
   // contract both the deterministic parallel merge and the differential
   // tests pin down.
-  size_t write = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    if (!keep[r]) continue;
-    if (write != r) {
-      std::memcpy(cells_.data() + write * arity, cells_.data() + r * arity,
-                  arity * sizeof(ValueId));
-    }
-    ++write;
-  }
-  const size_t removed = rows - write;
-  cells_.resize(write * arity);
-  return removed;
-}
-
-size_t Relation::DeduplicateSorted() {
-  if (columns_.empty() || num_rows() <= 1) return Deduplicate();
-  const size_t arity = columns_.size();
-  const size_t rows = num_rows();
-
-  std::vector<uint32_t> order(rows);
-  std::iota(order.begin(), order.end(), 0u);
-  const ValueId* cells = cells_.data();
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const ValueId* pa = cells + static_cast<size_t>(a) * arity;
-    const ValueId* pb = cells + static_cast<size_t>(b) * arity;
-    for (size_t c = 0; c < arity; ++c) {
-      if (pa[c] != pb[c]) return pa[c] < pb[c];
-    }
-    return a < b;  // Ties by original index: each run starts at its first
-                   // occurrence.
-  });
-
-  std::vector<uint8_t> keep(rows, 0);
-  for (size_t i = 0; i < rows; ++i) {
-    keep[order[i]] =
-        i == 0 || !RowsEqual(cells + static_cast<size_t>(order[i]) * arity,
-                             cells + static_cast<size_t>(order[i - 1]) * arity,
-                             arity);
-  }
-
   size_t write = 0;
   for (size_t r = 0; r < rows; ++r) {
     if (!keep[r]) continue;

@@ -119,11 +119,6 @@ class Relation {
   /// (EngineProfile::prefetch_probes); results are identical either way.
   size_t Deduplicate(bool prefetch = false);
 
-  /// Sort-based dedup variant with the same stable first-occurrence
-  /// contract; the baseline BM_Deduplicate compares it against the radix
-  /// path. Not used on the serving path.
-  size_t DeduplicateSorted();
-
   /// Total number of cells; proxy for the relation's memory footprint used
   /// by the engine's resource accounting.
   size_t num_cells() const { return cells_.size(); }

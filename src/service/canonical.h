@@ -7,6 +7,18 @@
 
 namespace rdfopt {
 
+/// The one α-renaming and serializer of the system. Three caches are keyed
+/// by query shape and all take their keys from here: the plan cache
+/// (Canonicalize), the estimate-feedback store (FragmentKey) and the
+/// materialized-view catalog (ViewSignature). Every key uses one syntax:
+///
+///   h<head arity> | <head vars> : <atom>;<atom>;... !v<n>=<value>...
+///
+/// with one `|`-introduced section per disjunct, atoms rendered
+/// `(t,t,t)`, constants as `c<id>`, and variables as `v<n>` under a
+/// head-first renaming: head variables in head order, then body variables
+/// by first occurrence (subject, predicate, object) in atom order.
+
 /// A BGP query normalized into the service's cache identity.
 ///
 /// Two parsed queries that differ only in variable names (α-equivalence) or
@@ -21,7 +33,8 @@ struct CanonicalizedQuery {
   /// is answerable as-is (reformulation draws fresh "_f*" variables on top).
   Query query;
   /// Stable serialization of `query.cq` — the cache key (the cache pairs it
-  /// with the data epoch). Equal keys imply literally identical canonical
+  /// with the data epoch); equal to the ViewSignature of the one-disjunct
+  /// UCQ of `query.cq`. Equal keys imply literally identical canonical
   /// queries, hence identical answer rows in identical column order.
   std::string key;
 };
@@ -37,6 +50,28 @@ struct CanonicalizedQuery {
 /// different-but-equivalent keys depending on input order — a missed cache
 /// hit, never a wrong answer.
 CanonicalizedQuery Canonicalize(const ConjunctiveQuery& cq);
+
+/// Key of the estimate-feedback store (cost/feedback.h): the Canonicalize
+/// key of `cq`'s conjunction body alone, head and head bindings dropped.
+/// Invariant under atom order and variable renaming, so the reformulation
+/// lattice's repeated fragments — the same cover fragment reappearing
+/// across queries and plannings — share one entry. The head is excluded
+/// because the store corrects the body estimate (EstimateCQ), which does
+/// not depend on the projection.
+std::string FragmentKey(const ConjunctiveQuery& cq);
+
+/// Canonical signature of a whole component UCQ — the key of the
+/// materialized-view catalog (DESIGN.md §14). Invariant under variable
+/// renaming, but deliberately NOT under disjunct or atom permutation, and
+/// it includes the head and per-disjunct head bindings: a view substitutes
+/// a component's *rows in order*, and the planner derives atom order
+/// (greedy, tie-broken by input position) and union output order from
+/// exactly this syntactic shape. Two components with equal ViewSignature
+/// therefore plan to the same tree modulo variable names and produce
+/// bit-identical rows against the same snapshot. Each disjunct is renamed
+/// on its own: the UCQ head first, then the disjunct's head, body and
+/// binding variables.
+std::string ViewSignature(const UnionQuery& ucq);
 
 }  // namespace rdfopt
 

@@ -422,9 +422,6 @@ Result<ServiceOutcome> QueryService::AnswerOnSnapshot(
     DebugCheckPlan(plan, &snapshot->data, "plan-cache clone");
     Evaluator evaluator(&snapshot->data, &request_profile,
                         &snapshot->estimator);
-    // Cache hits keep feeding the feedback loop: their actuals refresh the
-    // fragment EWMAs even though no planning happens on this path.
-    if (options_.enable_feedback) evaluator.set_feedback(&snapshot->feedback);
     // Cached plans still carry harvest stamps (and possibly view scans
     // pinned at plan time), so hits keep offering fragment results too.
     if (use_views) evaluator.set_views(&view_resolver);

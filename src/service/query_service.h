@@ -42,6 +42,8 @@ struct ServiceOptions {
   /// Estimate feedback (cost/feedback.h): each snapshot owns a store the
   /// evaluator records executed disjuncts' actuals into and the estimator
   /// consults on later plannings, so misestimated fragments self-correct.
+  /// Only freshly planned executions (cache misses) record; a plan-cache
+  /// hit reruns a plan whose first run on the same snapshot already did.
   /// Scoped to the snapshot — an epoch bump starts clean, since stale
   /// observations must not steer planning against new data.
   bool enable_feedback = true;
@@ -229,7 +231,7 @@ class QueryService {
     const Statistics stats;
     const Schema schema;
     /// Estimate feedback scoped to this snapshot's data: born empty with
-    /// each epoch, filled by evaluations against it. Mutable because
+    /// each epoch, filled by the cache-miss evaluations against it. Mutable because
     /// requests hold the snapshot const — the store is internally
     /// synchronized.
     mutable EstimateFeedbackStore feedback;

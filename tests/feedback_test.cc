@@ -1,5 +1,6 @@
 #include "cost/feedback.h"
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -9,9 +10,14 @@
 #include "common/metrics.h"
 #include "cost/cardinality.h"
 #include "engine/evaluator.h"
+#include "engine/operators.h"
 #include "engine/plan.h"
 #include "engine/planner.h"
+#include "rdf/hierarchy_encoding.h"
+#include "reformulation/reformulator.h"
+#include "service/canonical.h"
 #include "service/query_service.h"
+#include "sparql/parser.h"
 #include "sparql/query.h"
 #include "workload/lubm.h"
 
@@ -33,6 +39,27 @@ ConjunctiveQuery TwoAtomCq() {
   return cq;
 }
 
+/// q(x) :- x p y . y p z  and the same chain written backwards with other
+/// names: b p c . a p b. Both atoms rank alike, so the key must not depend
+/// on which one the input lists first.
+std::pair<ConjunctiveQuery, ConjunctiveQuery> SymmetricChains() {
+  ConjunctiveQuery forward;
+  forward.head = {0};
+  forward.atoms.push_back(
+      Atom(PatternTerm::Var(0), PatternTerm::Const(5), PatternTerm::Var(1)));
+  forward.atoms.push_back(
+      Atom(PatternTerm::Var(1), PatternTerm::Const(5), PatternTerm::Var(2)));
+  ConjunctiveQuery backward;
+  backward.head = {1};
+  backward.atoms.push_back(
+      Atom(PatternTerm::Var(2), PatternTerm::Const(5), PatternTerm::Var(3)));
+  backward.atoms.push_back(
+      Atom(PatternTerm::Var(1), PatternTerm::Const(5), PatternTerm::Var(2)));
+  return {forward, backward};
+}
+
+// FragmentKey (service/canonical.h) is the feedback store's key; these
+// cases pin its contract.
 TEST(FragmentSignatureTest, InvariantUnderAtomOrderAndRenaming) {
   ConjunctiveQuery a = TwoAtomCq();
 
@@ -44,14 +71,27 @@ TEST(FragmentSignatureTest, InvariantUnderAtomOrderAndRenaming) {
   b.atoms.push_back(
       Atom(PatternTerm::Var(7), PatternTerm::Const(1), PatternTerm::Var(3)));
 
-  EXPECT_EQ(FragmentSignature(a), FragmentSignature(b));
+  EXPECT_EQ(FragmentKey(a), FragmentKey(b));
+
+  const auto [forward, backward] = SymmetricChains();
+  EXPECT_EQ(FragmentKey(forward), FragmentKey(backward));
 }
 
 TEST(FragmentSignatureTest, HeadIsExcluded) {
   ConjunctiveQuery a = TwoAtomCq();
   ConjunctiveQuery b = TwoAtomCq();
   b.head = {0, 1};  // Different projection, same conjunction body.
-  EXPECT_EQ(FragmentSignature(a), FragmentSignature(b));
+  b.head_bindings.emplace_back(3, ValueId{9});
+  EXPECT_EQ(FragmentKey(a), FragmentKey(b));
+
+  // The key is the plan-cache key of the bare body.
+  ConjunctiveQuery body;
+  body.atoms = a.atoms;
+  EXPECT_EQ(FragmentKey(a), Canonicalize(body).key);
+
+  auto [forward, backward] = SymmetricChains();
+  backward.head = {2, 3};
+  EXPECT_EQ(FragmentKey(forward), FragmentKey(backward));
 }
 
 TEST(FragmentSignatureTest, ConstantsAndStructureMatter) {
@@ -59,12 +99,17 @@ TEST(FragmentSignatureTest, ConstantsAndStructureMatter) {
 
   ConjunctiveQuery different_const = TwoAtomCq();
   different_const.atoms[1].p = PatternTerm::Const(3);
-  EXPECT_NE(FragmentSignature(a), FragmentSignature(different_const));
+  EXPECT_NE(FragmentKey(a), FragmentKey(different_const));
 
   // Breaking the join (different subject variables) changes the signature.
   ConjunctiveQuery disconnected = TwoAtomCq();
   disconnected.atoms[1].s = PatternTerm::Var(9);
-  EXPECT_NE(FragmentSignature(a), FragmentSignature(disconnected));
+  EXPECT_NE(FragmentKey(a), FragmentKey(disconnected));
+
+  // A chain is not a star over the same predicate.
+  auto [chain, star] = SymmetricChains();
+  star.atoms[1].s = star.atoms[0].s;
+  EXPECT_NE(FragmentKey(chain), FragmentKey(star));
 }
 
 TEST(EstimateFeedbackStoreTest, RecordsEwmaOfActuals) {
@@ -210,6 +255,63 @@ TEST_F(FeedbackLoopTest, FeedbackIsOptIn) {
   EXPECT_DOUBLE_EQ(estimator.EstimateCQ(TwoAtomCq()), before);
 }
 
+// A collapsed range branch is listed under its representative disjunct but
+// returns the rows of the whole hid interval; recording them under the
+// representative's key would tell the estimator that one class has the
+// whole range's instances.
+TEST(FeedbackRangeTest, CollapsedRangeBranchesAreNotRecorded) {
+  Graph graph;
+  LubmOptions options;
+  options.num_universities = 1;
+  options.fine_grained_specializations = 48;
+  GenerateLubm(options, &graph);
+  graph.FinalizeSchema();
+  TripleStore store = TripleStore::Build(graph.data_triples());
+  store.AttachHierarchy(std::make_shared<const HierarchyEncoding>(
+      HierarchyEncoding::Build(graph.schema(), graph.vocab().rdf_type)));
+  const Statistics stats = Statistics::Compute(store);
+
+  Result<Query> parsed = ParseQuery(
+      "PREFIX ub: <http://lubm.example.org/univ#>\n"
+      "SELECT ?x WHERE { ?x a ub:Professor . }",
+      &graph.dict());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Query query = parsed.TakeValue();
+  Reformulator reformulator(&graph.schema(), &graph.vocab());
+  Result<UnionQuery> ucq = reformulator.ReformulateCQ(query.cq, &query.vars);
+  ASSERT_TRUE(ucq.ok()) << ucq.status().ToString();
+
+  EngineProfile profile = Vectorized(PostgresLikeProfile());
+  profile.tuple_us_per_row = 0.0;
+  profile.union_term_overhead_us = 0.0;
+  profile.materialization_us_per_row = 0.0;
+  profile.hierarchy_ranges = true;
+  CardinalityEstimator estimator(&store, &stats);
+  EstimateFeedbackStore feedback;
+  estimator.set_feedback(&feedback);
+  Planner planner(&estimator, &profile);
+  PhysicalPlan plan = planner.PlanUCQ(ucq.ValueOrDie());
+  ASSERT_LT(plan.union_terms, ucq.ValueOrDie().size()) << "nothing collapsed";
+
+  Evaluator evaluator(&store, &profile);
+  evaluator.set_feedback(&feedback);
+  EvalMetrics metrics;
+  ASSERT_TRUE(evaluator.ExecutePlan(&plan, &metrics).ok());
+
+  // Every recorded fragment must carry its own row count.
+  size_t recorded = 0;
+  for (const ConjunctiveQuery& d : ucq.ValueOrDie().disjuncts) {
+    std::optional<double> observed = feedback.Lookup(d);
+    if (!observed.has_value()) continue;
+    ++recorded;
+    ASSERT_EQ(d.atoms.size(), 1u);
+    EXPECT_DOUBLE_EQ(*observed,
+                     static_cast<double>(ScanAtom(store, d.atoms[0]).num_rows()))
+        << FragmentKey(d);
+  }
+  EXPECT_EQ(recorded, feedback.size());
+}
+
 TEST(FeedbackServiceTest, ServiceAccumulatesFeedbackAndResetsOnEpoch) {
   Graph graph;
   LubmOptions options;
@@ -240,6 +342,34 @@ TEST(FeedbackServiceTest, ServiceAccumulatesFeedbackAndResetsOnEpoch) {
   // observations must not steer planning against the new data.
   service.Refresh();
   EXPECT_EQ(service.feedback_entries(), 0u);
+}
+
+TEST(FeedbackServiceTest, OnlyFreshPlansRecord) {
+  Graph graph;
+  LubmOptions options;
+  options.num_universities = 1;
+  GenerateLubm(options, &graph);
+  QueryService service(&graph, PostgresLikeProfile(), ServiceOptions{});
+  MetricCounter* records =
+      MetricsRegistry::Global().GetCounter("cost.feedback_records");
+
+  const char* text =
+      "PREFIX ub: <http://lubm.example.org/univ#>\n"
+      "SELECT ?x ?d WHERE { ?x ub:worksFor ?d . ?x ub:doctoralDegreeFrom "
+      "?u . }";
+  const uint64_t before_miss = records->value();
+  Result<ServiceOutcome> miss = service.AnswerText(text);
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  ASSERT_FALSE(miss.ValueOrDie().cache_hit);
+  const uint64_t after_miss = records->value();
+  EXPECT_GT(after_miss, before_miss);
+
+  // A hit reruns the cached plan on the same snapshot, whose store already
+  // holds the miss's observations: nothing new to record.
+  Result<ServiceOutcome> hit = service.AnswerText(text);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  ASSERT_TRUE(hit.ValueOrDie().cache_hit);
+  EXPECT_EQ(records->value(), after_miss);
 }
 
 }  // namespace

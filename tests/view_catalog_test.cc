@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cost/feedback.h"
+#include "service/canonical.h"
 #include "service/epoch_guard.h"
 #include "views/view_advisor.h"
 
@@ -60,7 +60,7 @@ std::string Admit(ViewCatalog* catalog, const UnionQuery& ucq, size_t rows,
 }
 
 // ---------------------------------------------------------------------------
-// ViewSignature: the keying contract (see cost/feedback.h).
+// ViewSignature: the keying contract (see service/canonical.h).
 // ---------------------------------------------------------------------------
 
 TEST(ViewSignatureTest, InvariantUnderVariableRenaming) {
