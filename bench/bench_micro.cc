@@ -228,12 +228,17 @@ void BM_ExecutePlannedJucqTuple(benchmark::State& state) {
 BENCHMARK(BM_ExecutePlannedJucqTuple);
 
 // The same prebuilt ~2256-disjunct UCQ plan executed with
-// EngineProfile::worker_threads = Arg (1 = the sequential path). Answers
-// and counters are identical across args (DESIGN.md §9); real time shows
-// the morsel-parallel speedup. `--threads N` adds N to the arg list.
+// EngineProfile::worker_threads = Arg (1 = inline execution). Answers and
+// counters are identical across args (DESIGN.md §9). Emulated latency is
+// zeroed (as in perfbench's profile), so real time shows the engine's own
+// morsel-parallel speedup, not spin time divided over cores. `--threads N`
+// adds N to the arg list.
 void BM_ExecuteUnionParallel(benchmark::State& state) {
   MicroEnv& env = Env();
   EngineProfile profile = PostgresLikeProfile();
+  profile.tuple_us_per_row = 0.0;
+  profile.materialization_us_per_row = 0.0;
+  profile.union_term_overhead_us = 0.0;
   profile.worker_threads = static_cast<size_t>(state.range(0));
   Evaluator evaluator(&env.store, &profile);
   VarTable vars;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <map>
 
 namespace rdfopt {
 
@@ -19,6 +20,17 @@ WorkerPool::~WorkerPool() {
   }
   work_available_.notify_all();
   for (std::thread& t : threads_) t.join();
+}
+
+WorkerPool& WorkerPool::Shared(size_t num_threads) {
+  static std::mutex mu;
+  // Leaked on purpose: workers stay parked until process exit, so no
+  // static destructor ever joins them.
+  static auto* pools = new std::map<size_t, std::unique_ptr<WorkerPool>>();
+  std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<WorkerPool>& pool = (*pools)[num_threads];
+  if (pool == nullptr) pool = std::make_unique<WorkerPool>(num_threads);
+  return *pool;
 }
 
 void WorkerPool::RunTask(const std::shared_ptr<Batch>& batch, size_t index) {

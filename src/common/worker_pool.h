@@ -42,12 +42,20 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
+  /// The process-lifetime pool of `num_threads` workers, created on first
+  /// use and never destroyed. Every evaluator configured for the same
+  /// worker count shares it, so a query never spawns or joins threads;
+  /// concurrent callers' batches interleave on the shared workers.
+  static WorkerPool& Shared(size_t num_threads);
+
   size_t num_threads() const { return threads_.size(); }
 
   /// Runs fn(0) .. fn(n-1), distributed over the workers and the calling
   /// thread; returns when every started task has finished. Tasks of one
   /// batch may run in any order and concurrently; a reusable pool may run
-  /// many batches sequentially or (from nested tasks) concurrently.
+  /// many batches sequentially or concurrently (from nested tasks or from
+  /// independent caller threads), each batch with its own first-error-wins
+  /// result.
   Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn);
 
  private:

@@ -57,8 +57,10 @@ struct EngineProfile {
   double timeout_seconds = 60.0;
 
   /// Degree of intra-query parallelism: the total number of threads (the
-  /// coordinating caller plus worker_threads - 1 pool workers) that evaluate
-  /// independent UNION disjuncts and JUCQ components concurrently. 1 — the
+  /// coordinating caller plus worker_threads - 1 workers of the process-wide
+  /// WorkerPool::Shared pool) that evaluate independent UNION disjuncts and
+  /// JUCQ components concurrently. Read by the executor only: plans never
+  /// depend on it. 1 — the
   /// default, and what every built-in profile uses — runs the exact
   /// sequential executor the paper's single-connection RDBMS setup implies;
   /// results, metrics and EXPLAIN ANALYZE actuals are byte-identical either

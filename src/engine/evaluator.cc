@@ -1,11 +1,9 @@
 #include "engine/evaluator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "common/metrics.h"
@@ -85,9 +83,9 @@ void NoteResult(PlanNode* node, const Relation& rel) {
 // per-node wall time and resource counters, not just EXPLAIN ANALYZE runs.
 // RDFOPT_DISABLE_NODE_TELEMETRY compiles the whole substrate out — the
 // baseline build of the overhead benchmark (BENCH_observability.json), never
-// the shipping configuration. Safe under the parallel executor: each plan
-// node is executed by exactly one task (the same invariant NoteResult's
-// actual_rows writes rely on).
+// the shipping configuration. Safe under pooled execution: each plan node is
+// executed by exactly one task (the same invariant NoteResult's actual_rows
+// writes rely on).
 #ifndef RDFOPT_DISABLE_NODE_TELEMETRY
 inline constexpr bool kNodeTelemetry = true;
 
@@ -128,46 +126,11 @@ Status Evaluator::CheckTimeout(const Exec& exec) const {
   return Status::OK();
 }
 
-WorkerPool* Evaluator::pool() const {
-  const size_t threads = profile_->worker_threads;
-  if (threads <= 1) return nullptr;
-  // The coordinator itself executes tasks (help-first scheduling), so a
-  // total parallelism of N needs N-1 pool workers.
-  if (pool_ == nullptr || pool_->num_threads() != threads - 1) {
-    pool_ = std::make_shared<WorkerPool>(threads - 1);
-  }
-  return pool_.get();
-}
-
 void Evaluator::SpinFor(double micros) {
   if (micros <= 0.0) return;
   Stopwatch sw;
   while (sw.ElapsedMicros() < static_cast<int64_t>(micros)) {
     // Busy wait: emulated fixed plan overhead must consume real time.
-  }
-}
-
-void Evaluator::WaitFor(double micros) {
-  if (micros <= 0.0) return;
-  // The OS overshoots sub-millisecond sleeps by ~100-150us; sleep to within
-  // the slack, then spin the precise remainder.
-  constexpr double kSlackUs = 400.0;
-  Stopwatch sw;
-  for (;;) {
-    double remaining = micros - static_cast<double>(sw.ElapsedMicros());
-    if (remaining <= kSlackUs) break;
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<int64_t>(remaining - kSlackUs)));
-  }
-  while (sw.ElapsedMicros() < static_cast<int64_t>(micros)) {
-  }
-}
-
-void Evaluator::ChargeEmulated(Exec* exec, double micros) {
-  if (exec->debt != nullptr) {
-    *exec->debt += micros;
-  } else {
-    SpinFor(micros);
   }
 }
 
@@ -188,8 +151,8 @@ Status Evaluator::ChargeMaterialization(const Relation& rel,
   }
   // Physical emulation of engines that spool intermediates (see
   // EngineProfile::materialization_us_per_row).
-  ChargeEmulated(exec, profile_->materialization_us_per_row *
-                           static_cast<double>(rel.num_rows()));
+  SpinFor(profile_->materialization_us_per_row *
+          static_cast<double>(rel.num_rows()));
   return Status::OK();
 }
 
@@ -216,8 +179,7 @@ Result<RelHandle> Evaluator::ExecAtomScan(PlanNode* node, Exec* exec) const {
   // The pipelined driving scan pays per-tuple executor overhead by itself;
   // a scan feeding a hash join is charged at the join.
   if (node->driving_scan) {
-    ChargeEmulated(exec, profile_->tuple_us_per_row *
-                             static_cast<double>(scan_size));
+    SpinFor(profile_->tuple_us_per_row * static_cast<double>(scan_size));
   }
   Relation out = ScanAtom(*store_, atom);
   span.Attr("rows_scanned", scan_size);
@@ -238,8 +200,7 @@ Result<RelHandle> Evaluator::ExecScanRange(PlanNode* node, Exec* exec) const {
   // Like any driving scan: per-tuple executor overhead paid here, charged
   // once for the whole interval — this, not fewer rows, is the collapse win.
   if (node->driving_scan) {
-    ChargeEmulated(exec, profile_->tuple_us_per_row *
-                             static_cast<double>(scan_size));
+    SpinFor(profile_->tuple_us_per_row * static_cast<double>(scan_size));
   }
   Relation out = ScanRange(*store_, node->atom, node->range_class_space,
                            node->range_lo, node->range_hi);
@@ -287,55 +248,104 @@ Result<RelHandle> Evaluator::ExecIndexJoin(PlanNode* node, Exec* exec) const {
     node->rows_scanned = probed;   // Index rows read by the probes.
     node->hash_probes = driving;   // One probe lookup per driving row.
   }
-  ChargeEmulated(exec, profile_->tuple_us_per_row *
-                           static_cast<double>(driving + probed));
+  SpinFor(profile_->tuple_us_per_row *
+          static_cast<double>(driving + probed));
   span.Attr("join_input_rows", driving + probed);
   span.Attr("output_rows", out.num_rows());
   NoteResult(node, out);
   return RelHandle(std::move(out));
 }
 
+Status Evaluator::RunTasks(
+    size_t n, Exec* exec,
+    const std::function<Status(size_t, Exec*)>& task) const {
+  WorkerPool* pool = exec->shared->pool;
+  if (pool == nullptr) {
+    // Inline, in index order, straight into the caller's metrics and trace
+    // session: exactly the stream the pooled merge below reproduces.
+    for (size_t i = 0; i < n; ++i) RDFOPT_RETURN_NOT_OK(task(i, exec));
+    return Status::OK();
+  }
+  TraceSession* parent_session = TraceSession::Current();
+  struct TaskState {
+    EvalMetrics metrics;
+    std::optional<TraceSession> trace;
+    double trace_base_ms = 0.0;
+  };
+  std::vector<TaskState> states(n);
+  Status st = pool->ParallelFor(n, [&](size_t i) -> Status {
+    TaskState& state = states[i];
+    Exec local;
+    local.shared = exec->shared;
+    local.metrics = &state.metrics;
+    std::optional<ScopedTraceSession> scoped;
+    if (parent_session != nullptr) {
+      // Worker spans land in a scratch buffer stamped against the parent
+      // timeline; the caller adopts them in task order below.
+      state.trace_base_ms = parent_session->ElapsedMillis();
+      state.trace.emplace();
+      scoped.emplace(&*state.trace);
+    }
+    Status task_st = task(i, &local);
+    if (!task_st.ok() && task_st.code() != StatusCode::kCancelled) {
+      // First-error-wins across every concurrent batch of this query.
+      exec->shared->cancelled.store(true, std::memory_order_release);
+    }
+    return task_st;
+  });
+  // Sequential merge in task index order (DESIGN.md §9). Trace buffers are
+  // adopted even after a failure, so a partial trace still shows what ran.
+  for (TaskState& state : states) {
+    if (state.trace.has_value()) {
+      parent_session->AdoptChildSpans(*state.trace, state.trace_base_ms);
+    }
+    exec->metrics->Accumulate(state.metrics);
+  }
+  return st;
+}
+
 Result<RelHandle> Evaluator::ExecHashJoin(PlanNode* node, Exec* exec) const {
   RDFOPT_RETURN_NOT_OK(CheckTimeout(*exec));
-  std::optional<RelHandle> left;
-  std::optional<RelHandle> right;
-  if (node->component_join && exec->shared->pool != nullptr) {
-    // Component UCQs are independent subqueries: evaluate both sides of the
-    // engine.join concurrently (the caller runs the left subtree itself).
+  std::optional<RelHandle> sides[2];
+  if (node->component_join) {
+    // Component UCQs are independent subqueries: one task per side.
     RDFOPT_RETURN_NOT_OK(
-        ExecComponentChildrenParallel(node, exec, &left, &right));
+        RunTasks(2, exec, [&](size_t i, Exec* task) -> Status {
+          RDFOPT_ASSIGN_OR_RETURN(RelHandle side,
+                                  ExecNode(node->children[i].get(), task));
+          sides[i].emplace(std::move(side));
+          return Status::OK();
+        }));
   } else {
     RDFOPT_ASSIGN_OR_RETURN(RelHandle l, ExecNode(node->children[0].get(),
                                                   exec));
-    left.emplace(std::move(l));
-    if (!node->component_join) {
-      if (left->get().num_rows() == 0) {
-        // Short-circuit within a disjunct: skip the right subtree entirely
-        // (its nodes keep executed == false).
-        Relation out{node->out_columns};
-        NoteResult(node, out);
-        return RelHandle(std::move(out));
-      }
-      if (left->get().columns().empty()) {
-        // Passed boolean guard: forward the right side unchanged, free of
-        // charge — the guard never materializes as a join at runtime.
-        RDFOPT_ASSIGN_OR_RETURN(RelHandle out,
-                                ExecNode(node->children[1].get(), exec));
-        NoteResult(node, out.get());
-        return out;
-      }
+    if (l.get().num_rows() == 0) {
+      // Short-circuit within a disjunct: skip the right subtree entirely
+      // (its nodes keep executed == false).
+      Relation out{node->out_columns};
+      NoteResult(node, out);
+      return RelHandle(std::move(out));
     }
+    if (l.get().columns().empty()) {
+      // Passed boolean guard: forward the right side unchanged, free of
+      // charge — the guard never materializes as a join at runtime.
+      RDFOPT_ASSIGN_OR_RETURN(RelHandle out,
+                              ExecNode(node->children[1].get(), exec));
+      NoteResult(node, out.get());
+      return out;
+    }
+    sides[0].emplace(std::move(l));
     RDFOPT_ASSIGN_OR_RETURN(RelHandle r, ExecNode(node->children[1].get(),
                                                   exec));
-    right.emplace(std::move(r));
+    sides[1].emplace(std::move(r));
   }
   RDFOPT_RETURN_NOT_OK(CheckTimeout(*exec));
   // Component joins are engine.join steps of the JUCQ combination; joins
   // within a disjunct are op.hash_join.
   TraceSpan span(node->component_join ? "engine.join" : "op.hash_join");
   span.Attr("node", node->id);
-  const Relation& lrel = left->get();
-  const Relation& rrel = right->get();
+  const Relation& lrel = sides[0]->get();
+  const Relation& rrel = sides[1]->get();
   size_t inputs = lrel.num_rows() + rrel.num_rows();
   // The build side is the smaller input, so the probe side is the larger.
   size_t probes = std::max(lrel.num_rows(), rrel.num_rows());
@@ -345,65 +355,12 @@ Result<RelHandle> Evaluator::ExecHashJoin(PlanNode* node, Exec* exec) const {
     node->rows_scanned = inputs;
     node->hash_probes = probes;
   }
-  ChargeEmulated(exec, profile_->tuple_us_per_row * static_cast<double>(inputs));
+  SpinFor(profile_->tuple_us_per_row * static_cast<double>(inputs));
   Relation out = HashJoin(lrel, rrel, profile_->prefetch_probes);
   span.Attr("join_input_rows", inputs);
   span.Attr("output_rows", out.num_rows());
   NoteResult(node, out);
   return RelHandle(std::move(out));
-}
-
-Status Evaluator::ExecComponentChildrenParallel(
-    PlanNode* node, Exec* exec, std::optional<RelHandle>* left,
-    std::optional<RelHandle>* right) const {
-  TraceSession* parent_session = TraceSession::Current();
-  struct TaskOut {
-    EvalMetrics metrics;
-    std::optional<TraceSession> trace;
-    double trace_base_ms = 0.0;
-    std::optional<RelHandle> rel;
-  };
-  std::vector<TaskOut> outs(2);
-  auto run_child = [&](size_t i) -> Status {
-    TaskOut& out = outs[i];
-    Exec local;
-    local.shared = exec->shared;
-    local.metrics = &out.metrics;
-    // Both component subtrees run as worker tasks, so their emulated engine
-    // work becomes overlappable debt (paid once at task end — a component
-    // is one "connection's" worth of latency).
-    double debt = 0.0;
-    local.debt = &debt;
-    std::optional<ScopedTraceSession> scoped;
-    if (parent_session != nullptr) {
-      out.trace_base_ms = parent_session->ElapsedMillis();
-      out.trace.emplace();
-      scoped.emplace(&*out.trace);
-    }
-    Result<RelHandle> r = ExecNode(node->children[i].get(), &local);
-    WaitFor(debt);
-    if (!r.ok()) {
-      if (r.status().code() != StatusCode::kCancelled) {
-        exec->shared->cancelled.store(true, std::memory_order_release);
-      }
-      return r.status();
-    }
-    out.rel.emplace(r.TakeValue());
-    return Status::OK();
-  };
-  Status st = exec->shared->pool->ParallelFor(2, run_child);
-  // Deterministic merge: left subtree's spans and counters first, exactly
-  // the order the sequential executor records them in.
-  for (TaskOut& out : outs) {
-    if (parent_session != nullptr && out.trace.has_value()) {
-      parent_session->AdoptChildSpans(*out.trace, out.trace_base_ms);
-    }
-    exec->metrics->Accumulate(out.metrics);
-  }
-  RDFOPT_RETURN_NOT_OK(st);
-  *left = std::move(outs[0].rel);
-  *right = std::move(outs[1].rel);
-  return Status::OK();
 }
 
 Result<RelHandle> Evaluator::ExecUnionAll(PlanNode* node, Exec* exec) const {
@@ -417,112 +374,42 @@ Result<RelHandle> Evaluator::ExecUnionAll(PlanNode* node, Exec* exec) const {
         node->pre_collapse_terms - node->union_terms;
   }
 
-  if (exec->shared->pool != nullptr && node->parallel_safe &&
-      node->children.size() > 1) {
-    return ExecUnionAllParallel(node, exec);
-  }
-
-  Relation acc{std::vector<VarId>(node->head)};
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    RDFOPT_RETURN_NOT_OK(CheckTimeout(*exec));
-    // Per-union-term plan setup overhead (profile emulation). Charged
-    // exactly once per term on whichever thread executes it, so the total
-    // charged work — and the cost model's per-term c_union_term estimate —
-    // is independent of worker_threads; only wall-clock shrinks.
-    ChargeEmulated(exec, profile_->union_term_overhead_us);
-    RDFOPT_ASSIGN_OR_RETURN(RelHandle rel, ExecNode(node->children[i].get(),
-                                                    exec));
-    // Per-tuple executor overhead for rows appended to the union.
-    ChargeEmulated(exec, profile_->tuple_us_per_row *
-                             static_cast<double>(rel.get().num_rows()));
-    ProjectInto(&acc, rel.get(), node->disjuncts[i].head_bindings);
-  }
-  NoteResult(node, acc);
-  return RelHandle(std::move(acc));
-}
-
-Result<RelHandle> Evaluator::ExecUnionAllParallel(PlanNode* node,
-                                                  Exec* exec) const {
+  // Morsels of consecutive disjuncts, one task each. Without a pool the
+  // whole union is one morsel; with T threads, ~4 morsels per thread so slow
+  // disjuncts (full scans next to selective ones) load-balance.
+  const WorkerPool* pool = exec->shared->pool;
   const size_t n = node->children.size();
-  const size_t morsel = std::max<size_t>(1, node->morsel_size);
-  const size_t num_tasks = (n + morsel - 1) / morsel;
-  TraceSession* parent_session = TraceSession::Current();
-
-  struct TaskOut {
-    std::optional<Relation> acc;  ///< This morsel's union accumulator.
-    EvalMetrics metrics;
-    std::optional<TraceSession> trace;
-    double trace_base_ms = 0.0;
+  const size_t morsel = std::max<size_t>(
+      1, n / (pool == nullptr ? 1 : 4 * (pool->num_threads() + 1)));
+  std::vector<std::optional<Relation>> accs(std::max<size_t>(
+      1, (n + morsel - 1) / morsel));
+  auto run_morsel = [&](size_t m, Exec* task) -> Status {
+    Relation acc{std::vector<VarId>(node->head)};
+    for (size_t i = m * morsel; i < std::min(n, (m + 1) * morsel); ++i) {
+      RDFOPT_RETURN_NOT_OK(CheckTimeout(*task));
+      // Per-union-term plan setup overhead (profile emulation), charged once
+      // per term on whichever thread executes it: total emulated work, and
+      // the cost model's per-term c_union_term, never depend on threads.
+      SpinFor(profile_->union_term_overhead_us);
+      RDFOPT_ASSIGN_OR_RETURN(RelHandle rel,
+                              ExecNode(node->children[i].get(), task));
+      // Per-tuple executor overhead for rows appended to the union.
+      SpinFor(profile_->tuple_us_per_row *
+              static_cast<double>(rel.get().num_rows()));
+      ProjectInto(&acc, rel.get(), node->disjuncts[i].head_bindings);
+    }
+    accs[m].emplace(std::move(acc));
+    return Status::OK();
   };
-  std::vector<TaskOut> outs(num_tasks);
+  RDFOPT_RETURN_NOT_OK(RunTasks(accs.size(), exec, run_morsel));
 
-  auto run_morsel = [&](size_t m) -> Status {
-    TaskOut& out = outs[m];
-    Exec local;
-    local.shared = exec->shared;
-    local.metrics = &out.metrics;
-    std::optional<ScopedTraceSession> scoped;
-    if (parent_session != nullptr) {
-      // Worker spans land in a scratch buffer stamped against the parent
-      // timeline; the coordinator adopts them in morsel order below.
-      out.trace_base_ms = parent_session->ElapsedMillis();
-      out.trace.emplace();
-      scoped.emplace(&*out.trace);
-    }
-    // Emulated engine work of this morsel accumulates as debt and is paid
-    // in batched timed waits: concurrent morsels overlap their waits the
-    // way parallel engine connections overlap their latencies, so the query
-    // speeds up even when workers outnumber cores. The per-term amounts
-    // charged are exactly the sequential loop's.
-    double debt = 0.0;
-    local.debt = &debt;
-    constexpr double kFlushDebtUs = 4000.0;
-    Status st = [&]() -> Status {
-      Relation acc{std::vector<VarId>(node->head)};
-      const size_t begin = m * morsel;
-      const size_t end = std::min(n, begin + morsel);
-      for (size_t i = begin; i < end; ++i) {
-        RDFOPT_RETURN_NOT_OK(CheckTimeout(local));
-        ChargeEmulated(&local, profile_->union_term_overhead_us);
-        RDFOPT_ASSIGN_OR_RETURN(RelHandle rel,
-                                ExecNode(node->children[i].get(), &local));
-        ChargeEmulated(&local, profile_->tuple_us_per_row *
-                                   static_cast<double>(rel.get().num_rows()));
-        ProjectInto(&acc, rel.get(), node->disjuncts[i].head_bindings);
-        if (debt >= kFlushDebtUs) {
-          WaitFor(debt);
-          debt = 0.0;
-        }
-      }
-      out.acc.emplace(std::move(acc));
-      return Status::OK();
-    }();
-    WaitFor(debt);
-    if (!st.ok() && st.code() != StatusCode::kCancelled) {
-      // First-error-wins across every concurrent batch of this query.
-      exec->shared->cancelled.store(true, std::memory_order_release);
-    }
-    return st;
-  };
-  Status st = exec->shared->pool->ParallelFor(num_tasks, run_morsel);
-
-  // The merge is sequential and in morsel index order: rows, metrics and
-  // trace spans come out exactly as the worker_threads=1 loop produces them
-  // (trace buffers are adopted even after a failure, so a partial trace
-  // still shows what ran).
-  for (TaskOut& out : outs) {
-    if (parent_session != nullptr && out.trace.has_value()) {
-      parent_session->AdoptChildSpans(*out.trace, out.trace_base_ms);
-    }
-    exec->metrics->Accumulate(out.metrics);
+  Relation acc = std::move(*accs[0]);
+  if (accs.size() > 1) {
+    size_t total_rows = 0;
+    for (const auto& part : accs) total_rows += part->num_rows();
+    acc.Reserve(total_rows);
+    for (size_t m = 1; m < accs.size(); ++m) acc.Append(*accs[m]);
   }
-  RDFOPT_RETURN_NOT_OK(st);
-
-  Relation acc{std::vector<VarId>(node->head)};
-  size_t total_rows = 0;
-  for (const TaskOut& out : outs) total_rows += out.acc->num_rows();
-  acc.Reserve(total_rows);
-  for (const TaskOut& out : outs) acc.Append(*out.acc);
   NoteResult(node, acc);
   return RelHandle(std::move(acc));
 }
@@ -562,8 +449,7 @@ Result<RelHandle> Evaluator::ExecViewScan(PlanNode* node, Exec* exec) const {
   }
   // Reading the materialized result costs one pass over its rows, like any
   // other driving scan — the emulated engine still touches the data once.
-  ChargeEmulated(exec, profile_->tuple_us_per_row *
-                           static_cast<double>(out.num_rows()));
+  SpinFor(profile_->tuple_us_per_row * static_cast<double>(out.num_rows()));
   scans->Increment();
   scan_rows->Add(out.num_rows());
   span.Attr("output_rows", out.num_rows());
@@ -669,7 +555,11 @@ Result<Relation> Evaluator::ExecutePlan(PhysicalPlan* plan,
                                         EvalMetrics* metrics) const {
   EvalMetrics scratch;
   Exec::Shared shared;
-  shared.pool = pool();  // Null at worker_threads <= 1: purely sequential.
+  if (profile_->worker_threads > 1) {
+    // The caller runs tasks too (help-first), so N-way parallelism needs
+    // N-1 pool workers.
+    shared.pool = &WorkerPool::Shared(profile_->worker_threads - 1);
+  }
   Exec exec;
   exec.shared = &shared;
   exec.metrics = metrics != nullptr ? metrics : &scratch;

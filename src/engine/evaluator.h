@@ -2,7 +2,7 @@
 #define RDFOPT_ENGINE_EVALUATOR_H_
 
 #include <atomic>
-#include <memory>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -107,11 +107,14 @@ class RelHandle {
 /// and writes actual row counts back into the plan nodes. The convenience
 /// Evaluate* entry points plan-then-execute in one call.
 ///
-/// With EngineProfile::worker_threads > 1 the executor fans independent
-/// UNION disjunct morsels and JUCQ component subtrees out to a WorkerPool,
-/// merging per-worker results, metrics and trace buffers in deterministic
-/// disjunct order — answers, EvalMetrics totals and EXPLAIN ANALYZE actuals
-/// are identical to the sequential run at any thread count (DESIGN.md §9).
+/// Intra-query parallelism is an executor-only decision: plans carry no
+/// thread count. Union disjunct morsels and the two sides of a JUCQ
+/// component join are tasks of one runner (RunTasks). With
+/// EngineProfile::worker_threads > 1 they run on the process-wide
+/// WorkerPool::Shared pool and their rows, metrics and trace buffers are
+/// merged in task order — answers, EvalMetrics totals and EXPLAIN ANALYZE
+/// actuals are identical to the inline run at any thread count, and any
+/// plan executes at any thread count (DESIGN.md §9).
 class Evaluator {
  public:
   /// Pointees must outlive the evaluator. When `estimator` is null the
@@ -185,21 +188,21 @@ class Evaluator {
 
  private:
   /// Per-evaluation state. The `Shared` part is owned by ExecutePlan and
-  /// referenced by every worker task of the query: the timeout deadline is
-  /// one clock, the materialization budget one atomic cell counter, and
+  /// referenced by every task of the query: the timeout deadline is one
+  /// clock, the materialization budget one atomic cell counter, and
   /// `cancelled` implements first-error-wins cancellation — a failed task
   /// sets it and every other task of the query aborts at its next
-  /// CheckTimeout poll. `metrics`, by contrast, is per-task: workers write
-  /// thread-local deltas the coordinator sums deterministically on join.
+  /// CheckTimeout poll. `metrics`, by contrast, is per-task: pooled tasks
+  /// write task-local deltas RunTasks sums in task order on join.
   struct Exec {
     struct Shared {
       Stopwatch timer;
       std::atomic<size_t> materialized_cells{0};
       std::atomic<bool> cancelled{false};
-      /// Set once by ExecutePlan on the coordinating thread; tasks running
-      /// on workers read it to fan nested unions back out (the pool's
-      /// help-first scheduling makes nested batches deadlock-free). Null
-      /// when worker_threads <= 1: every Exec* path is then sequential.
+      /// Set once by ExecutePlan: WorkerPool::Shared(worker_threads - 1),
+      /// or null when worker_threads <= 1 and every task runs inline. Only
+      /// RunTasks reads it (and the union's morsel count); nested tasks
+      /// fan back out on it deadlock-free (help-first scheduling).
       WorkerPool* pool = nullptr;
       /// Results of the plan's shared_subplans, in index order. Executed by
       /// the coordinator before the tree runs (and before any fan-out), so
@@ -208,35 +211,26 @@ class Evaluator {
     };
     Shared* shared = nullptr;        // Never null inside ExecNode.
     EvalMetrics* metrics = nullptr;  // Never null inside ExecNode.
-    /// Emulated-cost debt of the enclosing worker task, in microseconds.
-    /// Null on the sequential path: emulated costs are then spun down
-    /// synchronously at the charge site (the seed behaviour). Worker tasks
-    /// point this at a task-local accumulator instead and pay the debt in
-    /// batched timed waits (WaitFor), which overlap across concurrent
-    /// tasks — emulated engine latency parallelizes the way concurrent
-    /// connections to a real engine would, without burning a core per
-    /// worker. The amount charged per operator is identical either way.
-    double* debt = nullptr;
   };
 
   Status CheckTimeout(const Exec& exec) const;
   /// Accounts (and physically emulates) materializing `rel`; fails when the
   /// profile's memory budget is exceeded.
   Status ChargeMaterialization(const Relation& rel, Exec* exec) const;
-  /// Physically consumes `micros` of CPU, emulating fixed plan overheads.
+  /// Charges `micros` of emulated engine work by spinning on the calling
+  /// thread, whichever task it runs: the total charged per query does not
+  /// depend on the thread count.
   static void SpinFor(double micros);
-  /// Consumes `micros` of wall-clock without holding the CPU: sleeps in
-  /// coarse chunks, then spins the final sub-slack remainder for precision.
-  static void WaitFor(double micros);
-  /// Charges `micros` of emulated engine work: spins immediately on the
-  /// sequential path, accumulates into the task's debt otherwise.
-  static void ChargeEmulated(Exec* exec, double micros);
 
-  /// The worker pool backing worker_threads > 1, created lazily (the profile
-  /// may be reconfigured between queries, e.g. the shell's `.threads`) and
-  /// resized when the knob changes. Null when worker_threads <= 1. Only the
-  /// coordinating thread calls this.
-  WorkerPool* pool() const;
+  /// The one task runner of unions and component joins: runs task(0) ..
+  /// task(n-1). Without a pool they run inline, in index order, on `exec`;
+  /// with one, each gets its own Exec (shared query state, task-local
+  /// metrics, a scratch trace session when tracing is on), the first
+  /// non-kCancelled failure cancels the query, and metrics and spans are
+  /// merged into `exec` in task index order. Tasks write their results
+  /// into per-index slots, which callers merge in the same order.
+  Status RunTasks(size_t n, Exec* exec,
+                  const std::function<Status(size_t, Exec*)>& task) const;
 
   /// Recursive plan-tree interpreter; writes actuals into `node`. Returns a
   /// RelHandle so kSharedRef nodes hand their execute-once result to each
@@ -247,7 +241,12 @@ class Evaluator {
   /// replacing the N member scans of a collapsed union group.
   Result<RelHandle> ExecScanRange(PlanNode* node, Exec* exec) const;
   Result<RelHandle> ExecIndexJoin(PlanNode* node, Exec* exec) const;
+  /// A component join runs its two sides as RunTasks tasks; a join within
+  /// a disjunct runs them in order and short-circuits on an empty left.
   Result<RelHandle> ExecHashJoin(PlanNode* node, Exec* exec) const;
+  /// Runs the disjuncts in morsels of consecutive terms, one RunTasks task
+  /// each: one morsel without a pool (its accumulator is the result), ~4
+  /// per thread with one, concatenated in disjunct order.
   Result<RelHandle> ExecUnionAll(PlanNode* node, Exec* exec) const;
   Result<RelHandle> ExecProject(PlanNode* node, Exec* exec) const;
   Result<RelHandle> ExecDedup(PlanNode* node, Exec* exec) const;
@@ -261,28 +260,12 @@ class Evaluator {
   /// attributed once, when the coordinator executed it.
   Result<RelHandle> ExecSharedRef(PlanNode* node, Exec* exec) const;
 
-  /// Fans the union's disjunct subtrees out to the pool in morsels; each
-  /// task accumulates into a thread-local Relation, then the coordinator
-  /// merges accumulators, metrics and trace buffers in disjunct index order,
-  /// making results and counters bit-identical to the sequential loop.
-  Result<RelHandle> ExecUnionAllParallel(PlanNode* node, Exec* exec) const;
-  /// Executes the two children of a component-level JUCQ join concurrently
-  /// (the caller participates, so nested parallel unions keep making
-  /// progress), preserving the sequential left-then-right merge order for
-  /// metrics and trace spans.
-  Status ExecComponentChildrenParallel(PlanNode* node, Exec* exec,
-                                       std::optional<RelHandle>* left,
-                                       std::optional<RelHandle>* right) const;
-
   const TripleStore* store_;
   const EngineProfile* profile_;
   const CardinalityEstimator* external_estimator_;
   std::optional<CardinalityEstimator> owned_estimator_;
   EstimateFeedbackStore* feedback_ = nullptr;
   ViewResolver* views_ = nullptr;
-  /// shared_ptr keeps the evaluator copyable (copies share the pool, which
-  /// is safe: pools are stateless between batches).
-  mutable std::shared_ptr<WorkerPool> pool_;
 };
 
 }  // namespace rdfopt

@@ -60,8 +60,6 @@ std::unique_ptr<PlanNode> CloneNode(const PlanNode* node) {
   copy->disjuncts = node->disjuncts;
   copy->over_limit = node->over_limit;
   copy->union_terms = node->union_terms;
-  copy->parallel_safe = node->parallel_safe;
-  copy->morsel_size = node->morsel_size;
   copy->component = node->component;
   copy->component_join = node->component_join;
   copy->shared_index = node->shared_index;

@@ -83,20 +83,10 @@ struct PlanNode {
   /// Only a sample of the disjuncts is planned as children then, so
   /// `union_terms` (not `children.size()`) is the authoritative term count.
   bool over_limit = false;
-  /// kUnionAll: total number of disjuncts of the union.
+  /// kUnionAll: total number of disjuncts of the union. The children are
+  /// independent disjunct subtrees; how many run concurrently is the
+  /// executor's decision, never the plan's (DESIGN.md §9).
   size_t union_terms = 0;
-  /// kUnionAll: the children are mutually independent disjunct subtrees
-  /// (no shared state), so the evaluator may fan them out to a worker pool.
-  /// True for every executable union the planner builds — the algebraic
-  /// independence of UCQ terms guarantees it — and false for over-limit
-  /// unions, which never execute.
-  bool parallel_safe = false;
-  /// kUnionAll: number of consecutive disjuncts one parallel task evaluates
-  /// (a morsel). Sized by the planner from the profile's worker_threads so
-  /// large disjunct lists split into several morsels per thread (load
-  /// balancing) without per-disjunct task overhead. 0 when parallelism is
-  /// off.
-  size_t morsel_size = 0;
   /// kDedup: index of the JUCQ component this node is the root of, or -1.
   /// Component roots carry the per-component `engine.ucq` trace span.
   int component = -1;

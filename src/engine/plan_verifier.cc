@@ -351,11 +351,6 @@ class Verifier {
                    "merge is undefined");
         }
         if (node->over_limit) {
-          if (node->parallel_safe) {
-            Fail(node->id, "parallel",
-                 "over-limit union marked parallel_safe; it must never "
-                 "execute, let alone fan out");
-          }
           if (node->union_terms <= plan_.union_term_limit &&
               plan_.union_term_limit > 0) {
             Fail(node->id, "feasibility",
@@ -371,12 +366,6 @@ class Verifier {
                      std::to_string(node->union_terms) +
                      " term(s) but has " +
                      std::to_string(node->children.size()) + " child(ren)");
-          }
-          if (node->morsel_size > std::max<size_t>(node->union_terms, 1)) {
-            Fail(node->id, "parallel",
-                 "morsel_size " + std::to_string(node->morsel_size) +
-                     " exceeds the disjunct list of " +
-                     std::to_string(node->union_terms));
           }
         }
         const size_t pairs =
@@ -469,8 +458,7 @@ void RenderNode(const PlanNode* node, int depth,
        << PlanNodeKindName(node->kind) << " [#" << node->id << "]";
   if (node->kind == PlanNodeKind::kUnionAll) {
     *out << " terms=" << node->union_terms
-         << (node->over_limit ? " OVER-LIMIT" : "")
-         << (node->parallel_safe ? " parallel" : "");
+         << (node->over_limit ? " OVER-LIMIT" : "");
   }
   if (node->kind == PlanNodeKind::kScanRange) {
     *out << " hid=[" << node->range_lo << "," << node->range_hi << ")"

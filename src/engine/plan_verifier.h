@@ -50,10 +50,9 @@ class TripleStore;
 ///                      their chain.
 ///   batch-width        the plan's vector width is in [1, kBatchRows] — the
 ///                      executor's selection vectors are sized to one batch.
-///   parallel           over-limit unions are never parallel_safe; a
-///                      parallel union's merge order is deterministic:
-///                      one source disjunct per child, morsels no larger
-///                      than the disjunct list.
+///   parallel           a union's merge order is deterministic: one source
+///                      disjunct per child, so morsels of any size
+///                      concatenate in disjunct order.
 ///   feasibility        an over-limit union implies a non-OK plan
 ///                      feasibility (and vice versa), so an "executable"
 ///                      plan can never hide an infeasible union.

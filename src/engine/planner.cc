@@ -390,11 +390,6 @@ std::unique_ptr<PlanNode> Planner::BuildCollapsedComponent(
   const size_t post = rc.post_terms();
   u->union_terms = post;
   u->over_limit = post > profile_->max_union_terms;
-  u->parallel_safe = !u->over_limit;
-  if (profile_->worker_threads > 1 && !u->over_limit) {
-    const size_t tasks = 4 * profile_->worker_threads;
-    u->morsel_size = std::max<size_t>(1, post / tasks);
-  }
 
   // Branch order: ranges and residual disjuncts interleaved by smallest
   // source disjunct index, so the collapsed union tracks the original
@@ -551,14 +546,6 @@ std::unique_ptr<PlanNode> Planner::BuildComponent(
   u->pre_collapse_terms = ucq.disjuncts.size();
   u->union_terms = ucq.disjuncts.size();
   u->over_limit = ucq.disjuncts.size() > profile_->max_union_terms;
-  // Union disjuncts are independent conjunctive queries by construction, so
-  // every executable union is safe to fan out. Morsels: aim for ~4 tasks per
-  // thread so slow disjuncts (selective scans vs. full scans) load-balance.
-  u->parallel_safe = !u->over_limit;
-  if (profile_->worker_threads > 1 && !u->over_limit) {
-    const size_t tasks = 4 * profile_->worker_threads;
-    u->morsel_size = std::max<size_t>(1, ucq.disjuncts.size() / tasks);
-  }
 
   // An over-limit union can never execute; plan only a few sample disjuncts
   // so EXPLAIN can still render the infeasible plan.

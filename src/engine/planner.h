@@ -43,12 +43,10 @@ std::string UnionLimitMessage(size_t union_terms, const EngineProfile& profile);
 ///  * JUCQ component order: CombineComponents (smallest estimate first,
 ///    then smallest sharing a column), with the largest-estimate component
 ///    pipelined and all others behind a MaterializeBarrier (paper §4.1(v));
-///  * parallelism: executable unions are marked parallel_safe (their
-///    disjuncts are independent CQs) and, when the profile runs more than
-///    one worker thread, their disjunct lists are partitioned into morsels
-///    (PlanNode::morsel_size) the evaluator fans out to the worker pool.
-///    Estimated costs are deliberately thread-count-invariant: the plan and
-///    the cover chosen from it never depend on worker_threads (DESIGN.md §9).
+///  * no parallelism: the planner never reads worker_threads, so a plan
+///    (and the cover chosen from its costs) is the same at any thread count
+///    and a cached plan executes on any evaluator. Morsel sizing belongs to
+///    the executor (DESIGN.md §9).
 ///
 /// Every node is annotated with its estimated output rows and the
 /// cumulative §4.1-model cost of its subtree, so the same tree serves as
@@ -115,8 +113,8 @@ class Planner {
   /// With profile().hierarchy_ranges and a store-attached HierarchyEncoding,
   /// a range-collapse pass (cost/range_collapse.h) runs first: collapsible
   /// disjunct groups become single kScanRange-driven branches and the
-  /// union's term count, over-limit flag and morsels are computed
-  /// post-collapse — callers read them off the built union node.
+  /// union's term count and over-limit flag are computed post-collapse —
+  /// callers read them off the built union node.
   std::unique_ptr<PlanNode> BuildComponent(
       const UnionQuery& ucq, int component_index,
       std::vector<std::unique_ptr<PlanNode>>* shared_out) const;

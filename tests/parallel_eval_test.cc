@@ -1,14 +1,17 @@
 // Determinism of the parallel executor (DESIGN.md §9): at any
 // worker_threads setting, answers, EvalMetrics totals, EXPLAIN ANALYZE
-// actuals and trace span structure must be identical to the sequential run.
+// actuals and trace span structure must be identical to the inline run,
+// also when a plan built at one thread count executes at another.
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/trace.h"
 #include "engine/evaluator.h"
+#include "engine/explain.h"
 #include "optimizer/cover.h"
 #include "reformulation/reformulator.h"
 #include "sparql/parser.h"
@@ -129,6 +132,26 @@ TEST(ParallelEvalTest, JucqIdenticalAcrossThreadCounts) {
     EXPECT_EQ(Counters(seq_metrics), Counters(par_metrics))
         << threads << " threads";
   }
+
+  // A cached plan: built at one thread count, executed at another. Plans
+  // carry no parallelism, so rows and counters cannot tell the difference.
+  for (auto [plan_threads, exec_threads] :
+       {std::pair<size_t, size_t>{1, 4}, std::pair<size_t, size_t>{4, 1}}) {
+    EngineProfile plan_profile = bench.profile;
+    plan_profile.worker_threads = plan_threads;
+    EngineProfile exec_profile = bench.profile;
+    exec_profile.worker_threads = exec_threads;
+    PhysicalPlan plan = Evaluator(&bench.store, &plan_profile)
+                            .planner()
+                            .PlanJUCQ(jucq.ValueOrDie());
+    Evaluator executor(&bench.store, &exec_profile);
+    EvalMetrics metrics;
+    Result<Relation> r = executor.ExecutePlan(&plan, &metrics);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ExpectIdenticalRelations(seq.ValueOrDie(), r.ValueOrDie());
+    EXPECT_EQ(Counters(seq_metrics), Counters(metrics))
+        << "planned at " << plan_threads << ", executed at " << exec_threads;
+  }
 }
 
 TEST(ParallelEvalTest, TraceSpanStructureMatchesSequential) {
@@ -165,21 +188,33 @@ TEST(ParallelEvalTest, ExplainActualsMatchSequential) {
   Query q;
   UnionQuery ucq = MustReformulate(LubmMotivatingQ1().text, &q);
 
-  auto actuals_of = [&](size_t threads) {
+  // Plans at `plan_threads`, executes at `exec_threads`: the cached-plan
+  // case when the two differ. Returns the EXPLAIN ANALYZE text (timings off)
+  // followed by every node's actual_rows.
+  auto actuals_of = [&](size_t plan_threads, size_t exec_threads) {
+    EngineProfile plan_profile = bench.profile;
+    plan_profile.worker_threads = plan_threads;
     EngineProfile profile = bench.profile;
-    profile.worker_threads = threads;
+    profile.worker_threads = exec_threads;
+    PhysicalPlan plan =
+        Evaluator(&bench.store, &plan_profile).planner().PlanUCQ(ucq);
     Evaluator evaluator(&bench.store, &profile);
-    Planner planner = evaluator.planner();
-    PhysicalPlan plan = planner.PlanUCQ(ucq);
     EXPECT_TRUE(evaluator.ExecutePlan(&plan, nullptr).ok());
-    std::vector<size_t> actuals;
+    ExplainOptions opts;
+    opts.analyze = true;
+    opts.analyze_timing = false;
+    std::vector<std::string> actuals = {
+        ExplainPlan(plan, q.vars, bench.graph.dict(), opts)};
     plan.ForEachNode([&](const PlanNode& node) {
-      actuals.push_back(node.actual_rows);
+      actuals.push_back(std::to_string(node.actual_rows));
     });
     return actuals;
   };
 
-  EXPECT_EQ(actuals_of(1), actuals_of(4));
+  const std::vector<std::string> sequential = actuals_of(1, 1);
+  EXPECT_EQ(sequential, actuals_of(4, 4));
+  EXPECT_EQ(sequential, actuals_of(1, 4));
+  EXPECT_EQ(sequential, actuals_of(4, 1));
 }
 
 TEST(ParallelEvalTest, BatchEngineIdenticalRowsAndMetricsAcrossThreadCounts) {

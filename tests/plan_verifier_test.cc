@@ -374,14 +374,6 @@ TEST_F(PlanVerifierTest, RejectsOversizedVectorWidth) {
   ExpectRejected(plan, "batch-width");
 }
 
-TEST_F(PlanVerifierTest, RejectsMorselsLargerThanTheDisjunctList) {
-  PhysicalPlan plan = ProfessorUcqPlan(Fast());
-  PlanNode* union_node = FindKind(&plan, PlanNodeKind::kUnionAll);
-  ASSERT_NE(union_node, nullptr);
-  union_node->morsel_size = union_node->union_terms + 10;
-  ExpectRejected(plan, "parallel");
-}
-
 TEST_F(PlanVerifierTest, RejectsDisjunctChildMismatch) {
   PhysicalPlan plan = ProfessorUcqPlan(Fast());
   PlanNode* union_node = FindKind(&plan, PlanNodeKind::kUnionAll);
@@ -407,20 +399,6 @@ TEST_F(PlanVerifierTest, RejectsFeasibilityMismatchBothWays) {
   ASSERT_FALSE(over.feasibility.ok());
   over.feasibility = Status::OK();
   ExpectRejected(over, "feasibility");
-}
-
-TEST_F(PlanVerifierTest, RejectsParallelSafeOverLimitUnion) {
-  EngineProfile tight = Fast();
-  tight.max_union_terms = 4;
-  Query q = MustParse(LubmQuerySet()[1].text);
-  UnionQuery ucq = Reformulate(&q);
-  Evaluator engine(&Lubm().store, &tight);
-  PhysicalPlan plan = engine.planner().PlanUCQ(ucq);
-  PlanNode* union_node = FindKind(&plan, PlanNodeKind::kUnionAll);
-  ASSERT_NE(union_node, nullptr);
-  ASSERT_TRUE(union_node->over_limit);
-  union_node->parallel_safe = true;
-  ExpectRejected(plan, "parallel");
 }
 
 TEST_F(PlanVerifierTest, RejectsDuplicateOutputColumns) {

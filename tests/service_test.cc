@@ -313,45 +313,52 @@ TEST_F(ServiceTest, AlphaVariantHitsTheSameEntry) {
 }
 
 TEST_F(ServiceTest, ConcurrentClientsGetSerialAnswers) {
-  QueryService service(graph_, PostgresLikeProfile(), DefaultOptions());
-  const std::vector<std::string> texts = {
-      LubmMotivatingQ1().text,
-      "PREFIX ub: <http://lubm.example.org/univ#> "
-      "SELECT ?x ?y WHERE { ?x rdf:type ub:Faculty . ?y ub:advisor ?x }"};
+  // Inline execution, and intra-query parallelism with every client's
+  // queries sharing one worker pool.
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("worker_threads=" + std::to_string(workers));
+    EngineProfile profile = PostgresLikeProfile();
+    profile.worker_threads = workers;
+    QueryService service(graph_, profile, DefaultOptions());
+    const std::vector<std::string> texts = {
+        LubmMotivatingQ1().text,
+        "PREFIX ub: <http://lubm.example.org/univ#> "
+        "SELECT ?x ?y WHERE { ?x rdf:type ub:Faculty . ?y ub:advisor ?x }"};
 
-  // Serial reference rows, computed before any concurrency.
-  std::vector<std::set<std::vector<ValueId>>> reference;
-  for (const std::string& text : texts) {
-    Result<ServiceOutcome> r = service.AnswerText(text);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    reference.push_back(RowSet(r.ValueOrDie().answers));
-  }
+    // Serial reference rows, computed before any concurrency.
+    std::vector<std::set<std::vector<ValueId>>> reference;
+    for (const std::string& text : texts) {
+      Result<ServiceOutcome> r = service.AnswerText(text);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      reference.push_back(RowSet(r.ValueOrDie().answers));
+    }
 
-  constexpr int kThreads = 8;
-  constexpr int kReps = 3;
-  std::vector<std::thread> threads;
-  std::atomic<int> mismatches{0};
-  std::atomic<int> failures{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int rep = 0; rep < kReps; ++rep) {
-        for (size_t qi = 0; qi < texts.size(); ++qi) {
-          Result<ServiceOutcome> r = service.AnswerText(texts[qi]);
-          if (!r.ok()) {
-            ++failures;
-            continue;
+    constexpr int kThreads = 8;
+    constexpr int kReps = 3;
+    std::vector<std::thread> threads;
+    std::atomic<int> mismatches{0};
+    std::atomic<int> failures{0};
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int rep = 0; rep < kReps; ++rep) {
+          for (size_t qi = 0; qi < texts.size(); ++qi) {
+            Result<ServiceOutcome> r = service.AnswerText(texts[qi]);
+            if (!r.ok()) {
+              ++failures;
+              continue;
+            }
+            if (RowSet(r.ValueOrDie().answers) != reference[qi]) ++mismatches;
           }
-          if (RowSet(r.ValueOrDie().answers) != reference[qi]) ++mismatches;
         }
-      }
-    });
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(mismatches.load(), 0);
+    QueryService::Stats stats = service.stats();
+    EXPECT_GE(stats.cache.hits, static_cast<uint64_t>(kThreads));
+    EXPECT_EQ(stats.admission.running, 0u);
   }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(mismatches.load(), 0);
-  QueryService::Stats stats = service.stats();
-  EXPECT_GE(stats.cache.hits, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(stats.admission.running, 0u);
 }
 
 // ---------------------------------------------------------------------------

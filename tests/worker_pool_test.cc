@@ -1,7 +1,10 @@
 #include "common/worker_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,6 +147,67 @@ TEST(WorkerPoolTest, SingleTaskRunsInline) {
     return Status::OK();
   }).ok());
   EXPECT_EQ(count.load(), 1);
+}
+
+TEST(WorkerPoolTest, ConcurrentCallersShareOnePool) {
+  // Independent threads issue batches on one pool at once (the serving
+  // case: every query of a worker count shares WorkerPool::Shared). Every
+  // task of a successful batch runs exactly once, and each failing batch
+  // reports its own lowest-index error, never another caller's.
+  WorkerPool pool(3);
+  constexpr size_t kCallers = 6;
+  constexpr size_t kRounds = 20;
+  constexpr size_t kTasks = 37;
+  std::vector<std::atomic<int>> hits(kCallers * kRounds * kTasks);
+  std::vector<Status> results(kCallers * kRounds);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t r = 0; r < kRounds; ++r) {
+        const size_t batch = c * kRounds + r;
+        const bool fails = r % 2 == 1;
+        results[batch] = pool.ParallelFor(kTasks, [&, batch, fails](size_t i) {
+          hits[batch * kTasks + i].fetch_add(1);
+          // Long enough that the callers' batches overlap in the pool.
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          if (fails && i == 20) return Status::Timeout("late");
+          if (fails && i == 5) {
+            return Status::InvalidArgument("batch " + std::to_string(batch));
+          }
+          return Status::OK();
+        });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (size_t batch = 0; batch < kCallers * kRounds; ++batch) {
+    const Status& st = results[batch];
+    for (size_t i = 0; i < kTasks; ++i) {
+      const int n = hits[batch * kTasks + i].load();
+      if (st.ok()) {
+        EXPECT_EQ(n, 1) << "batch " << batch << " task " << i;
+      } else {
+        EXPECT_LE(n, 1) << "batch " << batch << " task " << i;
+      }
+    }
+    if (batch % 2 == 0) {
+      EXPECT_TRUE(st.ok()) << "batch " << batch << ": " << st.ToString();
+    } else if (hits[batch * kTasks + 5].load() == 1) {
+      // Task 5 ran, so its error outranks task 20's whatever the timing.
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(st.message(), "batch " + std::to_string(batch));
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kTimeout) << "batch " << batch;
+    }
+  }
+}
+
+TEST(WorkerPoolTest, SharedPoolIsOnePerWorkerCount) {
+  WorkerPool& two = WorkerPool::Shared(2);
+  EXPECT_EQ(&two, &WorkerPool::Shared(2));
+  EXPECT_EQ(two.num_threads(), 2u);
+  EXPECT_NE(&two, &WorkerPool::Shared(3));
+  EXPECT_EQ(WorkerPool::Shared(3).num_threads(), 3u);
 }
 
 }  // namespace
