@@ -188,7 +188,7 @@ std::string SharedRecord(size_t clients, size_t distinct, bool views,
 /// per-department constant atom that makes every query different. The plan
 /// cache cannot help across the pool (64+ distinct plans); the view
 /// catalog can: under SCQ the type atom is its own component, so every
-/// query substitutes the one materialized union.
+/// query's execution reads the one materialized union.
 /// Both sides are warmed (plans cached, catalog populated) before the
 /// clock starts, so the reported ratio is steady-state execution.
 size_t RunSharedFragmentMode(size_t target, size_t requests_per_client) {

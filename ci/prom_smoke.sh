@@ -104,6 +104,8 @@ for required in (
     "rdfopt_views_lookups",
     "rdfopt_views_hits",
     "rdfopt_views_bytes",
+    "rdfopt_service_view_hits_on_cache_hit",
+    "rdfopt_service_view_hits_on_cache_miss",
 ):
     assert required in prom_text, f"missing metric: {required}"
 

@@ -424,39 +424,6 @@ Result<RelHandle> Evaluator::ExecProject(PlanNode* node, Exec* exec) const {
   return RelHandle(std::move(out));
 }
 
-Result<RelHandle> Evaluator::ExecViewScan(PlanNode* node, Exec* exec) const {
-  RDFOPT_RETURN_NOT_OK(CheckTimeout(*exec));
-  if (node->view_rows == nullptr) {
-    return Status::Internal("ViewScan #" + std::to_string(node->id) +
-                            " has no materialized rows pinned");
-  }
-  static MetricCounter* scans =
-      MetricsRegistry::Global().GetCounter("views.scans");
-  static MetricCounter* scan_rows =
-      MetricsRegistry::Global().GetCounter("views.scan_rows");
-  TraceSpan span("op.view_scan");
-  span.Attr("node", node->id);
-  const Relation& stored = *node->view_rows;
-  // Re-label the stored columns with this plan's VarIds: the signature
-  // guarantees arity and column order match, only the labels differ.
-  Relation out{node->out_columns};
-  if (stored.num_rows() > 0) {
-    ValueId* cells = out.AppendUninitialized(stored.num_rows());
-    if (cells != nullptr) {  // Null for zero-arity (rows are just counted).
-      std::memcpy(cells, stored.cells_data(),
-                  stored.num_cells() * sizeof(ValueId));
-    }
-  }
-  // Reading the materialized result costs one pass over its rows, like any
-  // other driving scan — the emulated engine still touches the data once.
-  SpinFor(profile_->tuple_us_per_row * static_cast<double>(out.num_rows()));
-  scans->Increment();
-  scan_rows->Add(out.num_rows());
-  span.Attr("output_rows", out.num_rows());
-  NoteResult(node, out);
-  return RelHandle(std::move(out));
-}
-
 Result<RelHandle> Evaluator::ExecDedup(PlanNode* node, Exec* exec) const {
   // Component roots carry the per-component UCQ span: its counter
   // attributes are the deltas this component contributed, so per-span
@@ -469,33 +436,56 @@ Result<RelHandle> Evaluator::ExecDedup(PlanNode* node, Exec* exec) const {
     span->Attr("node", node->id);
     if (span->active()) before = *exec->metrics;
   }
-  RDFOPT_ASSIGN_OR_RETURN(RelHandle handle, ExecNode(node->children[0].get(),
-                                                     exec));
-  // Dedup mutates in place, so it needs ownership (its child is a union or
-  // projection — always owned in practice; a borrowed input would copy).
-  Relation out = std::move(handle).Take();
-  // A substituted component's rows are this dedup's own harvested output,
-  // distinct by construction; Deduplicate is stable, so skipping the re-hash
-  // is bit-identical, not just set-equal.
-  if (node->children[0]->kind != PlanNodeKind::kViewScan) {
+  // The one place a view is read (DESIGN.md §14). A stamped component
+  // whose signature resolves in the request's catalog epoch is served from
+  // the stored rows: they are this component's own earlier deduplicated
+  // output, so the union is not executed and the re-dedup is skipped —
+  // Deduplicate is stable, which makes the skip bit-identical, not just
+  // set-equal.
+  std::shared_ptr<const Relation> view;
+  if (views_ != nullptr && !node->view_signature.empty()) {
+    view = views_->Lookup(node->view_signature);
+  }
+  Relation out{node->out_columns};
+  if (view != nullptr) {
+    RDFOPT_RETURN_NOT_OK(CheckTimeout(*exec));
+    if (view->arity() != out.arity()) {
+      return Status::Internal("view for component #" +
+                              std::to_string(node->id) + " has arity " +
+                              std::to_string(view->arity()) + ", expected " +
+                              std::to_string(out.arity()));
+    }
+    // The stored columns carry the populating query's VarIds; the signature
+    // guarantees arity and column order match, so only the labels differ.
+    if (view->num_rows() > 0) {
+      ValueId* cells = out.AppendUninitialized(view->num_rows());
+      if (cells != nullptr) {  // Null for zero-arity (rows are just counted).
+        std::memcpy(cells, view->cells_data(),
+                    view->num_cells() * sizeof(ValueId));
+      }
+    }
+    // Reading the stored result costs one pass over its rows, like any
+    // other driving scan — the emulated engine still touches the data once.
+    SpinFor(profile_->tuple_us_per_row * static_cast<double>(out.num_rows()));
+    ++exec->metrics->view_hits;
+  } else {
+    RDFOPT_ASSIGN_OR_RETURN(RelHandle handle,
+                            ExecNode(node->children[0].get(), exec));
+    // Dedup mutates in place, so it needs ownership (its child is a union or
+    // projection — always owned in practice; a borrowed input would copy).
+    out = std::move(handle).Take();
     exec->metrics->duplicates_removed +=
         out.Deduplicate(profile_->prefetch_probes);
-  }
-  // Opportunistic view harvest (DESIGN.md §14): a component root whose
-  // signature was stamped at plan time (no catalog hit then) offers its
-  // freshly deduplicated result for admission. A substituted component
-  // (kViewScan child) is already materialized — nothing to offer.
-  if (views_ != nullptr && !node->view_signature.empty() &&
-      node->children[0]->kind != PlanNodeKind::kViewScan) {
-    views_->Offer(node->view_signature, out);
+    // Opportunistic harvest: offer the freshly deduplicated result for
+    // admission under the stamped signature.
+    if (views_ != nullptr && !node->view_signature.empty()) {
+      views_->Offer(node->view_signature, out);
+    }
   }
   if (span.has_value() && span->active()) {
     const EvalMetrics& m = *exec->metrics;
-    PlanNode* child = node->children[0].get();
-    span->Attr("union_terms", child->kind == PlanNodeKind::kUnionAll ||
-                                      child->kind == PlanNodeKind::kViewScan
-                                  ? child->union_terms
-                                  : size_t{0});
+    span->Attr("view_hit", view != nullptr);
+    span->Attr("union_terms", m.union_terms - before.union_terms);
     span->Attr("rows_scanned", m.rows_scanned - before.rows_scanned);
     span->Attr("join_input_rows",
                m.join_input_rows - before.join_input_rows);
@@ -545,8 +535,6 @@ Result<RelHandle> Evaluator::ExecNode(PlanNode* node, Exec* exec) const {
       return ExecMaterialize(node, exec);
     case PlanNodeKind::kSharedRef:
       return ExecSharedRef(node, exec);
-    case PlanNodeKind::kViewScan:
-      return ExecViewScan(node, exec);
   }
   return Status::Internal("unknown plan node kind");
 }

@@ -43,6 +43,8 @@ struct EvalMetrics {
                                   ///< (also included in rows_scanned).
   size_t union_terms_collapsed = 0;  ///< Union terms absorbed into ScanRange
                                      ///< branches (pre-collapse − executed).
+  size_t view_hits = 0;  ///< Components served from the view catalog (their
+                         ///< unions not executed).
   double elapsed_ms = 0.0;        ///< Wall-clock evaluation time.
 
   /// Adds `other`'s counters into this struct. Parallel workers accumulate
@@ -58,6 +60,7 @@ struct EvalMetrics {
     duplicates_removed += other.duplicates_removed;
     range_rows_scanned += other.range_rows_scanned;
     union_terms_collapsed += other.union_terms_collapsed;
+    view_hits += other.view_hits;
     elapsed_ms += other.elapsed_ms;
   }
 };
@@ -164,10 +167,11 @@ class Evaluator {
 
   /// Wires the materialized-view catalog (DESIGN.md §14). Opt-in like the
   /// feedback store, null disables (the default). With a resolver set, the
-  /// planner substitutes kViewScan nodes for components whose signature
-  /// resolves, and ExecDedup offers every freshly deduplicated component
-  /// result to the resolver for opportunistic admission. The pointee must
-  /// outlive the evaluator and be thread-safe (offers arrive from worker
+  /// planner stamps every executable component with its signature, and
+  /// ExecDedup looks each stamped component up: a hit is served from the
+  /// stored rows, a miss executes the union and offers the deduplicated
+  /// result for opportunistic admission. The pointee must outlive the
+  /// evaluator and be thread-safe (lookups and offers arrive from worker
   /// threads when components execute in parallel).
   void set_views(ViewResolver* views) { views_ = views; }
 
@@ -249,11 +253,11 @@ class Evaluator {
   /// per thread with one, concatenated in disjunct order.
   Result<RelHandle> ExecUnionAll(PlanNode* node, Exec* exec) const;
   Result<RelHandle> ExecProject(PlanNode* node, Exec* exec) const;
+  /// Duplicate elimination; at a stamped component root, also the one
+  /// place a view is read: a resolver hit returns the stored rows
+  /// re-labelled with out_columns (the union child stays unexecuted), a
+  /// miss runs the union, deduplicates and offers the result.
   Result<RelHandle> ExecDedup(PlanNode* node, Exec* exec) const;
-  /// Reads the materialized view rows pinned in the node, re-labelled with
-  /// the node's out_columns (the stored relation carries the populating
-  /// query's VarIds; arity and column order match by signature).
-  Result<RelHandle> ExecViewScan(PlanNode* node, Exec* exec) const;
   Result<RelHandle> ExecMaterialize(PlanNode* node, Exec* exec) const;
   /// Borrows the already-materialized shared result this node references.
   /// Charges nothing: the shared subplan's scan work and counters were

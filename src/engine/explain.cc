@@ -170,8 +170,9 @@ class PlanPrinter {
   }
 
   /// One component: its UNION header, sampled term chains, over-limit flag.
-  /// `dedup` is the component root (kDedup over kUnionAll, or over kViewScan
-  /// when the planner substituted a materialized view for the union).
+  /// `dedup` is the component root (kDedup over kUnionAll). Under ANALYZE a
+  /// component the executor served from the view catalog is marked
+  /// "[view hit: <sig>]"; its term chains then print as not executed.
   void RenderComponent(const PlanNode* dedup, bool materialized) {
     const PlanNode* u = dedup->children[0].get();
     out_ += "  ";
@@ -187,12 +188,10 @@ class PlanPrinter {
     if (plan_.num_components > 1) {
       out_ += materialized ? " [materialized]" : " [pipelined]";
     }
-    if (u->kind == PlanNodeKind::kViewScan) {
-      // The union was replaced by a materialized-view read: no term chains
-      // to show, just the signature that keyed the substitution.
-      out_ += " [view: " + AbbreviatedSignature(u->view_signature) + "]" +
-              NodeSuffix(*u) + "\n";
-      return;
+    if (opts_.analyze && dedup->executed && !u->executed &&
+        !dedup->view_signature.empty()) {
+      out_ += " [view hit: " + AbbreviatedSignature(dedup->view_signature) +
+              "]";
     }
     if (u->over_limit) {
       out_ += "  ** exceeds the plan limit of " +
@@ -273,12 +272,6 @@ class PlanPrinter {
       case PlanNodeKind::kProject:
         // An atom-less disjunct: one constant (true) row.
         out_ += "      const  [1 row]" + NodeSuffix(*node) + "\n";
-        break;
-      case PlanNodeKind::kViewScan:
-        out_ += "      view   [" +
-                AbbreviatedSignature(node->view_signature) + ", ~" +
-                FormatRows(node->est_rows) + " rows]" + NodeSuffix(*node) +
-                "\n";
         break;
       default:
         out_ += "      " + std::string(PlanNodeKindName(node->kind)) +

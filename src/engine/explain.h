@@ -16,7 +16,8 @@ struct ExplainOptions {
   /// EXPLAIN ANALYZE: append the runtime accounting the executor recorded in
   /// each plan node — actual rows plus, where nonzero, rows scanned, hash
   /// probes and bytes materialized (or "not executed" for short-circuited
-  /// subtrees). The plan must have been run through Evaluator::ExecutePlan
+  /// subtrees), and "[view hit: <sig>]" on components served from the view
+  /// catalog. The plan must have been run through Evaluator::ExecutePlan
   /// first.
   bool analyze = false;
   /// With `analyze`: include each node's wall time. On for humans; golden

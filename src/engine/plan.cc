@@ -22,8 +22,6 @@ std::string_view PlanNodeKindName(PlanNodeKind kind) {
       return "SharedRef";
     case PlanNodeKind::kScanRange:
       return "ScanRange";
-    case PlanNodeKind::kViewScan:
-      return "ViewScan";
   }
   return "Unknown";
 }
@@ -69,7 +67,6 @@ std::unique_ptr<PlanNode> CloneNode(const PlanNode* node) {
   copy->range_terms = node->range_terms;
   copy->pre_collapse_terms = node->pre_collapse_terms;
   copy->view_signature = node->view_signature;
-  copy->view_rows = node->view_rows;
   copy->out_columns = node->out_columns;
   copy->est_rows = node->est_rows;
   copy->est_cost = node->est_cost;
@@ -131,14 +128,6 @@ void DigestNode(uint64_t* h, const PlanNode* node) {
     FnvMix(h, (static_cast<uint64_t>(node->range_lo) << 33) |
                   (static_cast<uint64_t>(node->range_hi) << 1) |
                   (node->range_class_space ? 1u : 0u));
-  }
-  if (node->kind == PlanNodeKind::kViewScan) {
-    // The signature identifies which component UCQ the view stands in for;
-    // without it two plans substituting different views would collide.
-    for (char c : node->view_signature) {
-      *h ^= static_cast<unsigned char>(c);
-      *h *= kFnvPrime;
-    }
   }
   for (const auto& child : node->children) DigestNode(h, child.get());
 }

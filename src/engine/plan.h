@@ -11,8 +11,6 @@
 
 namespace rdfopt {
 
-class Relation;
-
 /// The typed physical-plan tree shared by every consumer of the engine (see
 /// DESIGN.md §3): the Planner builds it once per query, the cost model's
 /// per-step walk annotates it with estimates, EXPLAIN pretty-prints it, the
@@ -42,13 +40,6 @@ enum class PlanNodeKind {
                         ///< slice of the hid-ordered shadow index covering
                         ///< what would otherwise be a union of per-constant
                         ///< scans over `[range_lo, range_hi)`.
-  kViewScan,            ///< Materialized-view read (DESIGN.md §14): the rows
-                        ///< of a whole component UCQ, previously computed and
-                        ///< admitted to the ViewCatalog, substituted for the
-                        ///< component's union subtree. Carries the estimates
-                        ///< of the subtree it replaced, so every planning
-                        ///< decision (join order, pipelining, cover pricing)
-                        ///< is identical with views on or off.
 };
 
 std::string_view PlanNodeKindName(PlanNodeKind kind);
@@ -113,18 +104,16 @@ struct PlanNode {
   /// kUnionAll: disjunct count before range collapse (equals `union_terms`
   /// when no collapse happened). EXPLAIN prints "collapsed from N".
   size_t pre_collapse_terms = 0;
-  /// kViewScan: canonical signature of the component UCQ the view
-  /// materializes (ViewSignature). Also stamped on component-root kDedup
-  /// nodes when a view resolver is wired, so the executor can offer the
-  /// deduplicated component result for admission without recomputing the
-  /// signature. Empty otherwise.
+  /// kDedup component root: canonical signature of the component UCQ
+  /// (ViewSignature), stamped by the planner on every executable component
+  /// when a view resolver is wired; empty otherwise. The executor looks it
+  /// up in the request's resolver (DESIGN.md §14): on a hit the stored rows
+  /// are the component's result and its union child is not executed, so
+  /// `executed` on this node without `executed` on the union marks a
+  /// component served from a view; on a miss the union runs and its
+  /// deduplicated result is offered under this key. The plan holds no rows,
+  /// so a cached plan depends only on the query and the snapshot.
   std::string view_signature;
-  /// kViewScan: the materialized rows, shared with (and pinned
-  /// independently of) the ViewCatalog entry, so a cached plan stays
-  /// executable even if the catalog evicts the view mid-epoch. The stored
-  /// relation's columns carry the VarIds of the query that populated it;
-  /// the executor re-labels them with `out_columns` on read.
-  std::shared_ptr<const Relation> view_rows;
 
   /// Output schema, fixed at plan time; also the column set of the empty
   /// relation produced when a subtree is short-circuited.

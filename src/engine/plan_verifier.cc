@@ -404,32 +404,6 @@ class Verifier {
         }
         break;
       }
-      case PlanNodeKind::kViewScan: {
-        CheckChildCount(*node, 0);
-        if (node->view_signature.empty()) {
-          Fail(node->id, "view-resolution",
-               "ViewScan with an empty view signature: the node cannot be "
-               "correlated with any catalog entry");
-        }
-        if (node->view_rows == nullptr) {
-          Fail(node->id, "view-resolution",
-               "ViewScan with no materialized rows pinned: execution would "
-               "have nothing to read");
-        } else if (node->view_rows->arity() != node->out_columns.size()) {
-          Fail(node->id, "view-schema",
-               "ViewScan out_columns arity " +
-                   std::to_string(node->out_columns.size()) +
-                   " != materialized relation arity " +
-                   std::to_string(node->view_rows->arity()) +
-                   " (the signature should pin both)");
-        }
-        if (node->union_terms < 1) {
-          Fail(node->id, "view-resolution",
-               "ViewScan substituting zero union terms: the replaced "
-               "component must have had at least one disjunct");
-        }
-        break;
-      }
     }
 
     for (const auto& child : node->children) {
@@ -466,9 +440,6 @@ void RenderNode(const PlanNode* node, int depth,
   }
   if (node->kind == PlanNodeKind::kSharedRef) {
     *out << " -> shared[" << node->shared_index << "]";
-  }
-  if (node->kind == PlanNodeKind::kViewScan) {
-    *out << " [view: " << node->view_signature << "]";
   }
   if (!node->out_columns.empty()) {
     *out << " cols=";

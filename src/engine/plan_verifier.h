@@ -58,13 +58,10 @@ class TripleStore;
 ///                      plan can never hide an infeasible union.
 ///   estimates          est_rows / est_cost are finite and non-negative
 ///                      (NaN poisons every downstream cover-cost compare).
-///   view-resolution    every kViewScan carries a non-empty ViewSignature,
-///                      pins a materialized relation (a substituted plan
-///                      must stay executable even after catalog eviction),
-///                      and stands in for >= 1 union term.
-///   view-schema        a kViewScan's out_columns arity matches the pinned
-///                      relation's arity — the signature keys both, so a
-///                      mismatch means the catalog served the wrong rows.
+///
+/// Materialized views add no rule: a plan carries only the component
+/// signatures the planner stamped, never view rows, and the executor checks
+/// the arity of the rows it reads (DESIGN.md §14).
 struct PlanViolation {
   int node_id = -1;     ///< Offending plan node, -1 for plan-level rules.
   std::string rule;     ///< Invariant id from the catalogue above.

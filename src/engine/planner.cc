@@ -453,41 +453,13 @@ std::unique_ptr<PlanNode> Planner::BuildCollapsedComponent(
 }
 
 std::unique_ptr<PlanNode> Planner::FinishComponent(
-    std::unique_ptr<PlanNode> dedup, const UnionQuery& ucq,
-    std::vector<std::unique_ptr<PlanNode>>* shared_out,
-    size_t shared_base) const {
+    std::unique_ptr<PlanNode> dedup, const UnionQuery& ucq) const {
   if (views_ == nullptr) return dedup;
-  PlanNode* u = dedup->children[0].get();
+  const PlanNode* u = dedup->children[0].get();
   if (u->over_limit) return dedup;  // Never executes; nothing to materialize.
-  std::string signature = ViewSignature(ucq);
-  views_->NoteComponent(signature, ucq, u->est_cost, u->union_terms);
-  std::shared_ptr<const Relation> rows = views_->Lookup(signature);
-  if (rows == nullptr) {
-    // No materialized rows yet: stamp the component root so the executor
-    // can offer its freshly deduplicated result for admission without
-    // recomputing the signature.
-    dedup->view_signature = std::move(signature);
-    return dedup;
-  }
-  // Catalog hit: replace the union subtree with a view read. The view node
-  // inherits the replaced subtree's estimates verbatim (decision parity —
-  // see plan.h): every decision downstream of est_rows/est_cost is made
-  // from the same numbers as a views-off planning, so only execution
-  // changes. Shared subplans factored out of the replaced chains would be
-  // orphaned; truncate them away (this component appended them last).
-  auto view = MakeNode(PlanNodeKind::kViewScan);
-  view->view_signature = std::move(signature);
-  view->view_rows = std::move(rows);
-  view->head = u->head;
-  view->out_columns = u->out_columns;
-  view->union_terms = u->union_terms;
-  view->pre_collapse_terms = u->pre_collapse_terms;
-  view->est_rows = u->est_rows;
-  view->est_cost = u->est_cost;
-  dedup->children[0] = std::move(view);
-  if (shared_out != nullptr && shared_out->size() > shared_base) {
-    shared_out->resize(shared_base);
-  }
+  dedup->view_signature = ViewSignature(ucq);
+  views_->NoteComponent(dedup->view_signature, ucq, u->est_cost,
+                        u->union_terms);
   return dedup;
 }
 
@@ -495,7 +467,6 @@ std::unique_ptr<PlanNode> Planner::BuildComponent(
     const UnionQuery& ucq, int component_index,
     std::vector<std::unique_ptr<PlanNode>>* shared_out) const {
   const CostConstants& k = profile_->cost;
-  const size_t shared_base = shared_out != nullptr ? shared_out->size() : 0;
 
   // Hierarchy-range collapse (DESIGN.md §12): with the feature on and an
   // encoding attached to the store, disjunct groups identical up to one
@@ -535,7 +506,7 @@ std::unique_ptr<PlanNode> Planner::BuildComponent(
       }
       if (!rc.ranges.empty()) {
         return FinishComponent(BuildCollapsedComponent(ucq, rc, component_index),
-                               ucq, shared_out, shared_base);
+                               ucq);
       }
     }
   }
@@ -629,7 +600,7 @@ std::unique_ptr<PlanNode> Planner::BuildComponent(
   dedup->est_rows = est_sum;
   dedup->est_cost = cost + k.c_l * est_sum;
   dedup->children.push_back(std::move(u));
-  return FinishComponent(std::move(dedup), ucq, shared_out, shared_base);
+  return FinishComponent(std::move(dedup), ucq);
 }
 
 Planner::ComponentCombination Planner::CombineComponents(

@@ -83,11 +83,10 @@ class Planner {
 
   /// Wires the materialized-view catalog (DESIGN.md §14); null disables.
   /// With a resolver set, every executable component the planner builds is
-  /// announced to it, and components whose ViewSignature resolves to
-  /// materialized rows have their union subtree replaced by a kViewScan
-  /// node. The view node inherits the replaced subtree's estimates, so
-  /// join order, pipelining, feasibility and cover pricing are identical
-  /// with views on or off — substitution accelerates execution only.
+  /// announced to it (NoteComponent) and its root stamped with its
+  /// ViewSignature. The planner never reads the catalog: whether a
+  /// component is served from a view is decided when it executes, so plans
+  /// are identical with views on or off apart from the stamps.
   void set_view_resolver(ViewResolver* views) { views_ = views; }
 
  private:
@@ -129,16 +128,11 @@ class Planner {
   /// never index-probed).
   std::unique_ptr<PlanNode> BuildRangeChain(const ConjunctiveQuery& cq,
                                             const CollapsedRange& range) const;
-  /// View-catalog tail of BuildComponent: announces the component to the
-  /// resolver and, on a catalog hit, swaps the dedup root's union subtree
-  /// for a kViewScan carrying the subtree's own estimates. `shared_base` is
-  /// shared_out's size before this component was built — substitution
-  /// truncates back to it, dropping subplans only the replaced chains
-  /// referenced. No-op without a resolver.
-  std::unique_ptr<PlanNode> FinishComponent(
-      std::unique_ptr<PlanNode> dedup, const UnionQuery& ucq,
-      std::vector<std::unique_ptr<PlanNode>>* shared_out,
-      size_t shared_base) const;
+  /// View-catalog tail of BuildComponent: announces an executable
+  /// component to the resolver and stamps its dedup root with the
+  /// component's ViewSignature. No-op without a resolver.
+  std::unique_ptr<PlanNode> FinishComponent(std::unique_ptr<PlanNode> dedup,
+                                            const UnionQuery& ucq) const;
   /// Preorder ids + node count + plan-level aggregates.
   void Finalize(PhysicalPlan* plan) const;
 

@@ -17,13 +17,16 @@ struct UnionQuery;
 ///
 /// The division of labor follows who owns the information:
 ///  - the Planner knows each component's definition and estimates, so it
-///    announces them (NoteComponent) and asks for substitutable rows
-///    (Lookup) while building the component;
-///  - the Evaluator produces the rows, so it hands each freshly
-///    deduplicated component result to Offer for opportunistic admission.
+///    announces them (NoteComponent) and stamps the component root with
+///    its signature; it never reads the catalog, so a plan — cached or
+///    not — does not depend on which views exist;
+///  - the Evaluator runs the component, so it is the one reader: at each
+///    stamped component root it asks for stored rows (Lookup) and, on a
+///    miss, hands the freshly deduplicated result to Offer for
+///    opportunistic admission.
 ///
-/// Implementations must be thread-safe: Lookup/NoteComponent run on
-/// concurrent request threads, Offer on executor worker threads.
+/// Implementations must be thread-safe: NoteComponent runs on concurrent
+/// request threads, Lookup and Offer on executor worker threads.
 class ViewResolver {
  public:
   virtual ~ViewResolver() = default;
@@ -37,9 +40,10 @@ class ViewResolver {
                              size_t union_terms) = 0;
 
   /// Materialized rows for `signature`, or nullptr when the catalog has no
-  /// current-epoch entry. The returned relation is immutable and stays
-  /// valid for the caller's lifetime even if the catalog evicts the entry
-  /// (shared ownership).
+  /// current-epoch entry. Called by the Evaluator once per executed stamped
+  /// component. The returned relation is immutable and stays valid while
+  /// the caller holds it, even if the catalog evicts the entry meanwhile
+  /// (shared ownership; the executor holds it only while copying).
   virtual std::shared_ptr<const Relation> Lookup(
       const std::string& signature) = 0;
 

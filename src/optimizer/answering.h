@@ -203,9 +203,9 @@ class QueryAnswerer {
   }
 
   /// Wires the materialized-view resolver (DESIGN.md §14) into the final
-  /// plan build and execution: planned components are announced to (and
-  /// substituted from) the catalog, and freshly computed component results
-  /// are offered back. Opt-in like EnableFeedback — disabled, answering
+  /// plan build and execution: planned components are announced to the
+  /// catalog, and at execution each one is served from it or computed and
+  /// offered back. Opt-in like EnableFeedback — disabled, answering
   /// never touches views, which the paper benches and golden plans rely on.
   /// The cover-search oracle prices fragments with its own resolver-free
   /// planner, so cover choice is identical with views on or off. Null

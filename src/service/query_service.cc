@@ -39,6 +39,12 @@ struct ServiceMetrics {
   MetricCounter* cache_hits;
   MetricCounter* cache_misses;
   MetricCounter* cache_evictions;
+  /// Components served from the view catalog (EvalMetrics::view_hits),
+  /// split by path: cached plans vs. freshly planned ones (cache miss or
+  /// cache off). Over service.cache_hits / cache_misses they give the view
+  /// hits per request on each path.
+  MetricCounter* view_hits_on_cache_hit;
+  MetricCounter* view_hits_on_cache_miss;
   MetricCounter* shed;
   MetricCounter* deadline_exceeded;
   MetricCounter* epoch_bumps;
@@ -58,6 +64,10 @@ ServiceMetrics& Metrics() {
     out.cache_hits = r.GetCounter("service.cache_hits");
     out.cache_misses = r.GetCounter("service.cache_misses");
     out.cache_evictions = r.GetCounter("service.cache_evictions");
+    out.view_hits_on_cache_hit =
+        r.GetCounter("service.view_hits_on_cache_hit");
+    out.view_hits_on_cache_miss =
+        r.GetCounter("service.view_hits_on_cache_miss");
     out.shed = r.GetCounter("service.shed");
     out.deadline_exceeded = r.GetCounter("service.deadline_exceeded");
     out.epoch_bumps = r.GetCounter("service.epoch_bumps");
@@ -422,12 +432,14 @@ Result<ServiceOutcome> QueryService::AnswerOnSnapshot(
     DebugCheckPlan(plan, &snapshot->data, "plan-cache clone");
     Evaluator evaluator(&snapshot->data, &request_profile,
                         &snapshot->estimator);
-    // Cached plans still carry harvest stamps (and possibly view scans
-    // pinned at plan time), so hits keep offering fragment results too.
+    // Cached plans carry their components' view signatures, so a hit reads
+    // every view admitted since the plan was cached and offers the
+    // components it executes.
     if (use_views) evaluator.set_views(&view_resolver);
     TraceSpan exec_span("service.execute");
     RDFOPT_ASSIGN_OR_RETURN(outcome.answers,
                             evaluator.ExecutePlan(&plan, &outcome.eval));
+    Metrics().view_hits_on_cache_hit->Add(outcome.eval.view_hits);
     outcome.evaluate_ms = outcome.eval.elapsed_ms;
     outcome.plan_digest = PlanDigest(plan);
     outcome.node_stats = CollectNodeStats(plan);
@@ -455,6 +467,7 @@ Result<ServiceOutcome> QueryService::AnswerOnSnapshot(
 
   outcome.answers = std::move(answered.answers);
   outcome.eval = answered.eval;
+  Metrics().view_hits_on_cache_miss->Add(outcome.eval.view_hits);
   outcome.chosen_cover = answered.chosen_cover;
   outcome.optimize_ms = answered.optimize_ms;
   outcome.reformulate_ms = answered.reformulate_ms;

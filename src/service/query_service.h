@@ -55,8 +55,9 @@ struct ServiceOptions {
   size_t slow_log_capacity = 128;
   size_t slow_log_sample = 1;
   /// Materialized fragment views (DESIGN.md §14, views/view_catalog.h):
-  /// component results are cached by ViewSignature and substituted into
-  /// later plans, with a log-mining advisor pinning the hottest fragments.
+  /// component results are cached by ViewSignature and read back when a
+  /// later plan (cached or fresh) executes an equal component, with a
+  /// log-mining advisor pinning the hottest fragments.
   /// Off by default — views change nothing about planning decisions, but
   /// the paper-reproduction surfaces stay byte-for-byte history-free.
   bool enable_views = false;

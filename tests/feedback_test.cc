@@ -372,5 +372,40 @@ TEST(FeedbackServiceTest, OnlyFreshPlansRecord) {
   EXPECT_EQ(records->value(), after_miss);
 }
 
+// A component served from a view at execution time keeps its union in the
+// plan, but the union never runs: RecordPlanFeedback must skip its
+// unexecuted disjuncts rather than record them as zero-row observations.
+TEST(FeedbackServiceTest, ViewServedComponentsRecordNothing) {
+  Graph graph;
+  LubmOptions options;
+  options.num_universities = 1;
+  GenerateLubm(options, &graph);
+  ServiceOptions service_options;
+  service_options.answer.strategy = Strategy::kScq;
+  service_options.enable_views = true;
+  QueryService service(&graph, PostgresLikeProfile(), service_options);
+  MetricCounter* records =
+      MetricsRegistry::Global().GetCounter("cost.feedback_records");
+
+  // The first query harvests its `?x a ub:Professor` component; the second
+  // is a different query (a plan-cache miss) with the same component.
+  ASSERT_TRUE(service
+                  .AnswerText("PREFIX ub: <http://lubm.example.org/univ#>\n"
+                              "SELECT ?x ?d WHERE { ?x a ub:Professor . "
+                              "?x ub:worksFor ?d . }")
+                  .ok());
+  const uint64_t before = records->value();
+  Result<ServiceOutcome> miss =
+      service.AnswerText("PREFIX ub: <http://lubm.example.org/univ#>\n"
+                         "SELECT ?x ?c WHERE { ?x a ub:Professor . "
+                         "?x ub:teacherOf ?c . }");
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  const ServiceOutcome& outcome = miss.ValueOrDie();
+  ASSERT_FALSE(outcome.cache_hit);
+  ASSERT_GT(outcome.eval.view_hits, 0u) << "no component was served";
+  // One observation per executed disjunct, none for the served union.
+  EXPECT_EQ(records->value() - before, outcome.eval.union_terms);
+}
+
 }  // namespace
 }  // namespace rdfopt

@@ -92,8 +92,8 @@ PlanNode* FindKind(PhysicalPlan* plan, PlanNodeKind kind) {
 }
 
 /// Minimal in-test view resolver: remembers every offered fragment result
-/// and serves it back on Lookup, so the second plan of the same UCQ carries
-/// a kViewScan.
+/// and serves it back on Lookup, so the second execution of a stamped plan
+/// reads the view.
 class StubViewResolver : public ViewResolver {
  public:
   void NoteComponent(const std::string&, const UnionQuery&, double,
@@ -161,28 +161,6 @@ class PlanVerifierTest : public ::testing::Test {
     EXPECT_FALSE(plan.shared_subplans.empty());
     PlanVerifyResult clean = VerifyPlan(plan, &Lubm().store,
                                         &Lubm().graph.dict());
-    EXPECT_TRUE(clean.ok()) << clean.ToString();
-    return plan;
-  }
-
-  /// A verified-clean plan whose Professor union is substituted by a
-  /// kViewScan: plan once to harvest the fragment into `resolver`, execute
-  /// to offer the rows, then plan again to substitute.
-  PhysicalPlan ViewScanUcqPlan(StubViewResolver* resolver) {
-    Query q = MustParse(LubmQuerySet()[1].text);
-    UnionQuery ucq = Reformulate(&q);
-    const EngineProfile profile = Fast();
-    Evaluator engine(&Lubm().store, &profile);
-    engine.set_views(resolver);
-    PhysicalPlan first = engine.planner().PlanUCQ(ucq);
-    EvalMetrics metrics;
-    Result<Relation> rows = engine.ExecutePlan(&first, &metrics);
-    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
-    PhysicalPlan plan = engine.planner().PlanUCQ(ucq);
-    EXPECT_NE(FindKind(&plan, PlanNodeKind::kViewScan), nullptr)
-        << "second plan of the same UCQ did not substitute the view";
-    PlanVerifyResult clean =
-        VerifyPlan(plan, &Lubm().store, &Lubm().graph.dict());
     EXPECT_TRUE(clean.ok()) << clean.ToString();
     return plan;
   }
@@ -433,51 +411,29 @@ TEST_F(PlanVerifierTest, RejectsNonFiniteEstimates) {
   ExpectRejected(plan, "estimates");
 }
 
-// --- kViewScan mutations (view-resolution / view-schema rules). ---
+// --- Views: a component served from a view keeps its planned union. ---
 
 TEST_F(PlanVerifierTest, ViewSubstitutedPlansVerifyClean) {
+  // The resolver stamps the component root; the first execution offers its
+  // rows, the second is served from them. The plan itself never changes,
+  // so it verifies clean before and after a view hit.
   StubViewResolver resolver;
-  PhysicalPlan plan = ViewScanUcqPlan(&resolver);  // Verifies internally.
-  ASSERT_NE(FindKind(&plan, PlanNodeKind::kViewScan), nullptr);
-}
-
-TEST_F(PlanVerifierTest, RejectsViewScanWithoutPinnedRows) {
-  StubViewResolver resolver;
-  PhysicalPlan plan = ViewScanUcqPlan(&resolver);
-  PlanNode* view = FindKind(&plan, PlanNodeKind::kViewScan);
-  ASSERT_NE(view, nullptr);
-  view->view_rows.reset();  // Catalog eviction must not strand the plan.
-  ExpectRejected(plan, "view-resolution");
-}
-
-TEST_F(PlanVerifierTest, RejectsViewScanWithEmptySignature) {
-  StubViewResolver resolver;
-  PhysicalPlan plan = ViewScanUcqPlan(&resolver);
-  PlanNode* view = FindKind(&plan, PlanNodeKind::kViewScan);
-  ASSERT_NE(view, nullptr);
-  view->view_signature.clear();
-  ExpectRejected(plan, "view-resolution");
-}
-
-TEST_F(PlanVerifierTest, RejectsViewScanAritySkew) {
-  StubViewResolver resolver;
-  PhysicalPlan plan = ViewScanUcqPlan(&resolver);
-  PlanNode* view = FindKind(&plan, PlanNodeKind::kViewScan);
-  ASSERT_NE(view, nullptr);
-  ASSERT_FALSE(view->out_columns.empty());
-  // The catalog served rows of a different shape than the node announces.
-  view->view_rows = std::make_shared<const Relation>(
-      Relation{std::vector<VarId>{}});
-  ExpectRejected(plan, "view-schema");
-}
-
-TEST_F(PlanVerifierTest, RejectsViewScanStandingForZeroTerms) {
-  StubViewResolver resolver;
-  PhysicalPlan plan = ViewScanUcqPlan(&resolver);
-  PlanNode* view = FindKind(&plan, PlanNodeKind::kViewScan);
-  ASSERT_NE(view, nullptr);
-  view->union_terms = 0;
-  ExpectRejected(plan, "view-resolution");
+  Query q = MustParse(LubmQuerySet()[1].text);
+  UnionQuery ucq = Reformulate(&q);
+  const EngineProfile profile = Fast();
+  Evaluator engine(&Lubm().store, &profile);
+  engine.set_views(&resolver);
+  PhysicalPlan plan = engine.planner().PlanUCQ(ucq);
+  EXPECT_FALSE(plan.root->view_signature.empty());
+  for (size_t run = 0; run < 2; ++run) {
+    EvalMetrics metrics;
+    Result<Relation> rows = engine.ExecutePlan(&plan, &metrics);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(metrics.view_hits, run);
+    PlanVerifyResult clean =
+        VerifyPlan(plan, &Lubm().store, &Lubm().graph.dict());
+    EXPECT_TRUE(clean.ok()) << clean.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -359,6 +360,57 @@ TEST_F(ServiceTest, ConcurrentClientsGetSerialAnswers) {
     EXPECT_GE(stats.cache.hits, static_cast<uint64_t>(kThreads));
     EXPECT_EQ(stats.admission.running, 0u);
   }
+}
+
+// A plan holds no view rows, so rows the catalog drops are freed at once —
+// even while a plan that was served from them stays cached — and the next
+// hit of that plan recomputes them.
+TEST_F(ServiceTest, DroppedViewRowsDoNotOutliveTheCatalog) {
+  ServiceOptions options = DefaultOptions();
+  options.answer.strategy = Strategy::kScq;
+  options.enable_views = true;
+  QueryService service(graph_, PostgresLikeProfile(), options);
+  const std::string first =
+      "PREFIX ub: <http://lubm.example.org/univ#> "
+      "SELECT ?x ?d WHERE { ?x rdf:type ub:Professor . ?x ub:worksFor ?d }";
+  const std::string second =
+      "PREFIX ub: <http://lubm.example.org/univ#> "
+      "SELECT ?x ?c WHERE { ?x rdf:type ub:Professor . ?x ub:teacherOf ?c }";
+
+  // The first query harvests its components; the second shares the
+  // Professor component, reads its view and caches its plan.
+  ASSERT_TRUE(service.AnswerText(first).ok());
+  const uint64_t hits_before = service.stats().views.hits;
+  Result<ServiceOutcome> served = service.AnswerText(second);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_FALSE(served.ValueOrDie().cache_hit);
+  ASSERT_GT(service.stats().views.hits, hits_before) << "no view was read";
+
+  std::vector<std::weak_ptr<const Relation>> held;
+  for (const ViewInfo& info : service.views()->Entries()) {
+    if (info.resident) {
+      held.push_back(service.views()->Lookup(info.signature, service.epoch()));
+    }
+  }
+  ASSERT_FALSE(held.empty());
+  for (const ViewInfo& info : service.views()->Entries()) {
+    service.views()->Drop(info.signature);
+  }
+  for (const std::weak_ptr<const Relation>& rows : held) {
+    EXPECT_TRUE(rows.expired()) << "dropped view rows are still referenced";
+  }
+
+  // The cached plan still runs: its components are recomputed (and offered
+  // again) with the same rows in the same order.
+  const uint64_t offers_before = service.stats().views.offers;
+  Result<ServiceOutcome> again = service.AnswerText(second);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again.ValueOrDie().cache_hit);
+  EXPECT_GT(service.stats().views.offers, offers_before);
+  const Relation& a = served.ValueOrDie().answers;
+  const Relation& b = again.ValueOrDie().answers;
+  EXPECT_EQ(std::vector<ValueId>(a.cells_data(), a.cells_data() + a.num_cells()),
+            std::vector<ValueId>(b.cells_data(), b.cells_data() + b.num_cells()));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 // Views-on ≡ views-off differential (DESIGN.md §14): answering with the
 // materialized-view subsystem enabled must produce bit-identical rows in
 // identical order to answering without it — across workloads (LUBM, DBLP),
-// worker counts (1, 4), strategies, and mid-stream epoch updates that
-// invalidate substituted views.
+// worker counts (1, 4), strategies, mid-stream epoch updates that
+// invalidate materialized views, and the plan cache on or off.
 //
 // Method: two services over two separately built but identical graphs,
-// differing only in enable_views. The plan cache is disabled so every
-// request replans, which makes repeats substitute from the catalog (with
-// the cache on, a repeat is a plan-cache hit and never replans — views
-// would only engage across *distinct* queries sharing fragments). Estimate
-// feedback is disabled on both sides: feedback stores diverge once views
-// skip some unions (substituted components record no per-disjunct actuals),
-// and diverged estimates change plan shapes, hence row order — so the
-// subsystems are compared under history-free planning, the mode the
-// bit-identical guarantee is stated for.
+// differing only in enable_views. Views are read where components execute,
+// so both paths are covered: with the plan cache off every request
+// replans and repeats read views from fresh plans; with it on, repeats are
+// plan-cache hits and must read the views admitted since their plan was
+// cached. Estimate feedback is disabled on both sides: feedback stores
+// diverge once views skip some unions (served components record no
+// per-disjunct actuals), and diverged estimates change plan shapes, hence
+// row order — so the subsystems are compared under history-free planning,
+// the mode the bit-identical guarantee is stated for.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -47,9 +48,10 @@ std::vector<std::string> QueryTexts(Load load) {
   std::vector<std::string> texts;
   if (load == Load::kLubm) {
     // Distinct queries sharing hot fragments (the Professor/Faculty type
-    // unions), then the whole list again so substitution definitely fires.
+    // unions), then the whole list again so views are definitely read.
+    // Index 16 factors shared subplans under the batch profile.
     for (size_t qi : {size_t{1}, size_t{7}, size_t{0}, size_t{19},
-                      size_t{9}}) {
+                      size_t{9}, size_t{16}}) {
       texts.push_back(LubmQuerySet()[qi].text);
     }
   } else {
@@ -69,10 +71,11 @@ std::vector<ValueId> FlatRows(const Relation& r) {
                               r.cells_data() + r.num_cells());
 }
 
-ServiceOptions Options(Strategy strategy, bool enable_views) {
+ServiceOptions Options(Strategy strategy, bool enable_views,
+                       bool plan_cache) {
   ServiceOptions options;
   options.answer.strategy = strategy;
-  options.enable_cache = false;     // Replan every request (see header).
+  options.enable_cache = plan_cache;
   options.enable_feedback = false;  // History-free planning on both sides.
   options.enable_views = enable_views;
   options.view_advisor_interval = 4;  // Exercise pinning mid-stream.
@@ -81,7 +84,7 @@ ServiceOptions Options(Strategy strategy, bool enable_views) {
 }
 
 void RunDifferential(Load load, Strategy strategy, size_t workers,
-                     bool epoch_churn,
+                     bool epoch_churn, bool plan_cache,
                      const EngineProfile& base = PostgresLikeProfile()) {
   Graph graph_off;
   Graph graph_on;
@@ -91,18 +94,34 @@ void RunDifferential(Load load, Strategy strategy, size_t workers,
   EngineProfile profile = base;
   profile.worker_threads = workers;
 
-  QueryService off(&graph_off, profile, Options(strategy, false));
-  QueryService on(&graph_on, profile, Options(strategy, true));
+  QueryService off(&graph_off, profile,
+                   Options(strategy, false, plan_cache));
+  QueryService on(&graph_on, profile, Options(strategy, true, plan_cache));
 
   const std::vector<std::string> texts = QueryTexts(load);
+  // Catalog hits served while executing plan-cache hits, and requests that
+  // read a view while their plan's shared subplans ran up front.
+  uint64_t hits_on_cached_plans = 0;
+  size_t hits_beside_shared_subplans = 0;
   auto compare_stream = [&](const char* phase) {
     for (size_t i = 0; i < texts.size(); ++i) {
       Result<ServiceOutcome> r_off = off.AnswerText(texts[i]);
+      const uint64_t hits_before = on.stats().views.hits;
       Result<ServiceOutcome> r_on = on.AnswerText(texts[i]);
       ASSERT_TRUE(r_off.ok()) << phase << " q" << i << ": "
                               << r_off.status().ToString();
       ASSERT_TRUE(r_on.ok()) << phase << " q" << i << ": "
                              << r_on.status().ToString();
+      ASSERT_EQ(r_off.ValueOrDie().cache_hit, r_on.ValueOrDie().cache_hit);
+      const uint64_t hits = on.stats().views.hits - hits_before;
+      if (r_on.ValueOrDie().cache_hit) hits_on_cached_plans += hits;
+      const std::vector<PlanNodeStats>& nodes = r_on.ValueOrDie().node_stats;
+      if (hits > 0 &&
+          std::any_of(nodes.begin(), nodes.end(), [](const PlanNodeStats& n) {
+            return n.shared_index >= 0;
+          })) {
+        ++hits_beside_shared_subplans;
+      }
       const Relation& a = r_off.ValueOrDie().answers;
       const Relation& b = r_on.ValueOrDie().answers;
       ASSERT_EQ(a.columns().size(), b.columns().size());
@@ -114,9 +133,17 @@ void RunDifferential(Load load, Strategy strategy, size_t workers,
   };
 
   compare_stream("initial");
-  // Not vacuous: the views side must actually have substituted.
-  EXPECT_GT(on.stats().views.hits, 0u) << "no substitution ever happened";
+  // Not vacuous: the views side must actually have read views, on cached
+  // plans too when the cache is on.
+  EXPECT_GT(on.stats().views.hits, 0u) << "no view was ever read";
   EXPECT_GT(on.stats().views.admitted, 0u);
+  if (plan_cache) {
+    EXPECT_GT(hits_on_cached_plans, 0u) << "plan-cache hits read no view";
+  }
+  if (profile.share_union_subplans) {
+    EXPECT_GT(hits_beside_shared_subplans, 0u)
+        << "no view was read in a plan with shared subplans";
+  }
 
   if (!epoch_churn) return;
 
@@ -161,34 +188,54 @@ void RunDifferential(Load load, Strategy strategy, size_t workers,
 // LUBM, singleton covers (every atom its own component — the shared-fragment
 // scenario), serial and parallel, with mid-stream epoch churn.
 TEST(ViewDifferentialTest, LubmScqSingleWorkerWithEpochChurn) {
-  RunDifferential(Load::kLubm, Strategy::kScq, 1, /*epoch_churn=*/true);
+  RunDifferential(Load::kLubm, Strategy::kScq, 1, /*epoch_churn=*/true,
+                  /*plan_cache=*/false);
 }
 
 TEST(ViewDifferentialTest, LubmScqFourWorkersWithEpochChurn) {
-  RunDifferential(Load::kLubm, Strategy::kScq, 4, /*epoch_churn=*/true);
+  RunDifferential(Load::kLubm, Strategy::kScq, 4, /*epoch_churn=*/true,
+                  /*plan_cache=*/false);
+}
+
+// The same stream with the plan cache on: repeats execute cached plans,
+// which read the views their components offered on the first run.
+TEST(ViewDifferentialTest, LubmScqFourWorkersWithEpochChurnPlanCache) {
+  RunDifferential(Load::kLubm, Strategy::kScq, 4, /*epoch_churn=*/true,
+                  /*plan_cache=*/true);
 }
 
 // Whole-query views: a UCQ cover has one component, so the view is the
 // entire reformulated union.
 TEST(ViewDifferentialTest, LubmUcqSingleWorker) {
-  RunDifferential(Load::kLubm, Strategy::kUcq, 1, /*epoch_churn=*/false);
+  RunDifferential(Load::kLubm, Strategy::kUcq, 1, /*epoch_churn=*/false,
+                  /*plan_cache=*/false);
 }
 
 // Cost-chosen JUCQ covers, and the batch engine with union-subplan
-// factoring: substitution must truncate the orphaned shared subplans.
+// factoring: a component served from a view leaves its shared subplans to
+// run up front, unconsumed.
 TEST(ViewDifferentialTest, LubmGcovSharedSubplansFourWorkers) {
   EngineProfile batch = Vectorized(PostgresLikeProfile());
   ASSERT_TRUE(batch.share_union_subplans);
   RunDifferential(Load::kLubm, Strategy::kGcov, 4, /*epoch_churn=*/false,
-                  batch);
+                  /*plan_cache=*/false, batch);
+}
+
+TEST(ViewDifferentialTest, LubmGcovSharedSubplansFourWorkersPlanCache) {
+  EngineProfile batch = Vectorized(PostgresLikeProfile());
+  ASSERT_TRUE(batch.share_union_subplans);
+  RunDifferential(Load::kLubm, Strategy::kGcov, 4, /*epoch_churn=*/false,
+                  /*plan_cache=*/true, batch);
 }
 
 TEST(ViewDifferentialTest, DblpScqSingleWorkerWithEpochChurn) {
-  RunDifferential(Load::kDblp, Strategy::kScq, 1, /*epoch_churn=*/true);
+  RunDifferential(Load::kDblp, Strategy::kScq, 1, /*epoch_churn=*/true,
+                  /*plan_cache=*/false);
 }
 
 TEST(ViewDifferentialTest, DblpUcqFourWorkers) {
-  RunDifferential(Load::kDblp, Strategy::kUcq, 4, /*epoch_churn=*/false);
+  RunDifferential(Load::kDblp, Strategy::kUcq, 4, /*epoch_churn=*/false,
+                  /*plan_cache=*/false);
 }
 
 }  // namespace
