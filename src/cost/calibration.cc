@@ -140,6 +140,10 @@ CalibrationReport CalibrateProfile(const EngineProfile& profile,
   report.fitted.c_db = std::max(0.0, FitIntercept(report.scan_samples));
   report.fitted.c_t = scan_slope / 2.0;
   report.fitted.c_l = scan_slope / 2.0;
+  // No sweep times a range scan; the shadow index reads one tuple per row
+  // like any index scan, so c_r takes the fitted c_t (the convention every
+  // profile follows) rather than keeping the profile's unfitted value.
+  report.fitted.c_r = report.fitted.c_t;
 
   // 2. Join sweep: chain query over the same sizes; extra time over the two
   //    scans, divided by the join input rows (2n), gives c_j.

@@ -21,7 +21,8 @@ namespace rdfopt {
 ///   * c_m  — two-component JUCQs with growing materialized side;
 ///   * c_union_term — UCQs of growing numbers of empty disjuncts;
 ///   * c_db — intercept of the scan sweep.
-/// Each is fitted by least-squares slope over the sweep.
+/// Each is fitted by least-squares slope over the sweep. No sweep times a
+/// hierarchy range scan: c_r is set to the fitted c_t.
 struct CalibrationReport {
   CostConstants fitted;
   /// (x, measured_microseconds) samples per sweep, for inspection/tests.

@@ -29,9 +29,10 @@ struct CostConstants {
   /// makes huge UCQs expensive even when each branch is empty.
   double c_union_term = 2.0;
   /// Per-tuple cost of a hierarchy interval scan (c_r): reading one tuple
-  /// from the hid-ordered shadow index (DESIGN.md §12). Same order as c_t —
-  /// both are sequential index reads — but charged once per range instead of
-  /// once per collapsed branch, which is where the win comes from.
+  /// from the hid-ordered shadow index (DESIGN.md §12). Equal to c_t in
+  /// every profile and after calibration — both are sequential index
+  /// reads — but charged once per range instead of once per collapsed
+  /// branch, which is where the win comes from.
   double c_r = 0.02;
 };
 

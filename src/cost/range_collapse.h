@@ -53,9 +53,10 @@ struct RangeCollapsePlan {
 /// bag-union contribution) stays residual. Deterministic: identical input
 /// yields identical output.
 ///
-/// Shared between the planner (which materializes kScanRange nodes from it)
-/// and the §4.1 cost inputs (which charge c_union_term on post_terms()), so
-/// the cover oracle prices covers under the same physics the engine runs.
+/// The only collapse decision: the planner builds one union branch per
+/// range and per residual disjunct from it, with no further pricing step,
+/// and the §4.1 cost inputs charge c_union_term on post_terms(). The cover
+/// oracle's term count is therefore exactly the planned union's.
 RangeCollapsePlan AnalyzeRangeCollapse(const UnionQuery& ucq,
                                        const HierarchyEncoding& encoding);
 

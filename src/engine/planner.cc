@@ -1,7 +1,7 @@
 #include "engine/planner.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 
 #include "engine/plan_verifier.h"
 #include "service/canonical.h"
@@ -45,9 +45,38 @@ std::unique_ptr<PlanNode> MakeNode(PlanNodeKind kind) {
   return std::make_unique<PlanNode>(kind);
 }
 
-/// How many disjuncts of an over-limit union are still planned, so EXPLAIN
+/// How many branches of an over-limit union are still planned, so EXPLAIN
 /// can show sample terms of a plan that will never execute.
 constexpr size_t kOverLimitSampleTerms = 3;
+
+/// The greedy ordering rule, written once for the atoms of a chain and for
+/// the components of a JUCQ: every pick takes a candidate connected to the
+/// picks so far over an unconnected one and, among equals, the smallest
+/// `size(i)`, ties to the lowest index. `connected(i, order)` says whether
+/// candidate i is connected to the picks in `order`.
+template <typename Connected, typename Size>
+std::vector<size_t> GreedyOrder(size_t n, Connected connected, Size size) {
+  std::vector<bool> used(n, false);
+  std::vector<size_t> order;
+  order.reserve(n);
+  while (order.size() < n) {
+    int best = -1;
+    bool best_connected = false;
+    for (size_t i = 0; i < n; ++i) {
+      if (used[i]) continue;
+      const bool linked = connected(i, order);
+      if (best < 0 || (linked && !best_connected) ||
+          (linked == best_connected &&
+           size(i) < size(static_cast<size_t>(best)))) {
+        best = static_cast<int>(i);
+        best_connected = linked;
+      }
+    }
+    used[static_cast<size_t>(best)] = true;
+    order.push_back(static_cast<size_t>(best));
+  }
+  return order;
+}
 
 }  // namespace
 
@@ -82,32 +111,33 @@ void CollectScanLeaves(const PlanNode* node,
 }  // namespace
 
 std::vector<size_t> GreedyAtomOrder(const std::vector<TriplePattern>& atoms,
-                                    const std::vector<double>& cards) {
-  const size_t n = atoms.size();
-  std::vector<bool> used(n, false);
-  std::vector<size_t> order;
-  order.reserve(n);
-  while (order.size() < n) {
-    int best = -1;
-    bool best_connected = false;
-    for (size_t i = 0; i < n; ++i) {
-      if (used[i]) continue;
-      bool connected = order.empty();
-      for (size_t j : order) {
-        connected = connected || atoms[i].SharesVariableWith(atoms[j]);
-      }
-      // Prefer connected atoms; among equals, the smallest scan.
-      if (best < 0 || (connected && !best_connected) ||
-          (connected == best_connected &&
-           cards[i] < cards[static_cast<size_t>(best)])) {
-        best = static_cast<int>(i);
-        best_connected = connected;
-      }
+                                    const std::vector<double>& cards,
+                                    const TriplePattern* pinned) {
+  auto shares_with_picks = [&](size_t i, const std::vector<size_t>& order) {
+    bool connected = false;
+    for (size_t j : order) {
+      connected = connected || atoms[i].SharesVariableWith(atoms[j]);
     }
-    used[static_cast<size_t>(best)] = true;
-    order.push_back(static_cast<size_t>(best));
+    return connected;
+  };
+  auto card = [&](size_t i) { return cards[i]; };
+  // The pin test sits outside the candidate loop: the cover oracle's work
+  // estimate calls the unpinned order for every disjunct it prices.
+  if (pinned == nullptr) {
+    return GreedyOrder(
+        atoms.size(),
+        [&](size_t i, const std::vector<size_t>& order) {
+          return order.empty() || shares_with_picks(i, order);
+        },
+        card);
   }
-  return order;
+  return GreedyOrder(
+      atoms.size(),
+      [&](size_t i, const std::vector<size_t>& order) {
+        return atoms[i].SharesVariableWith(*pinned) ||
+               shares_with_picks(i, order);
+      },
+      card);
 }
 
 std::string UnionLimitMessage(size_t union_terms,
@@ -118,7 +148,8 @@ std::string UnionLimitMessage(size_t union_terms,
 }
 
 std::unique_ptr<PlanNode> Planner::BuildCqChain(
-    const ConjunctiveQuery& cq, const SharedScanMap* shared_scans) const {
+    const ConjunctiveQuery& cq, const CollapsedRange* range,
+    const SharedScanMap* shared_scans) const {
   const CostConstants& k = profile_->cost;
 
   // A scan of an atom factored into a shared subplan becomes a reference to
@@ -148,11 +179,14 @@ std::unique_ptr<PlanNode> Planner::BuildCqChain(
 
   // All-constant atoms act as boolean existence guards, checked before any
   // scan happens: a left-deep chain short-circuits the whole disjunct when
-  // one of them fails.
+  // one of them fails. The masked atom of a range is never one: the range
+  // scan takes its place.
   std::unique_ptr<PlanNode> chain;
   double guard_selectivity = 1.0;
   std::vector<TriplePattern> body;
-  for (const TriplePattern& atom : cq.atoms) {
+  for (size_t a = 0; a < cq.atoms.size(); ++a) {
+    if (range != nullptr && a == range->atom_index) continue;
+    const TriplePattern& atom = cq.atoms[a];
     if (!IsConstantAtom(atom)) {
       body.push_back(atom);
       continue;
@@ -173,20 +207,56 @@ std::unique_ptr<PlanNode> Planner::BuildCqChain(
       chain = std::move(both);
     }
   }
-  if (body.empty()) return chain;  // Null for the atom-less (true) CQ.
+  // Null for the atom-less (true) CQ.
+  if (body.empty() && range == nullptr) return chain;
 
   std::vector<double> cards(body.size());
   for (size_t i = 0; i < body.size(); ++i) {
     cards[i] = estimator_->EstimateAtom(body[i]);
   }
-  const std::vector<size_t> order = GreedyAtomOrder(body, cards);
+  const TriplePattern* masked =
+      range != nullptr ? &cq.atoms[range->atom_index] : nullptr;
+  const std::vector<size_t> order = GreedyAtomOrder(body, cards, masked);
 
   // Driving scan: the pipelined base of the chain; charged per-tuple
   // executor overhead by itself (scans feeding hash joins are charged at
-  // the join instead).
-  const TriplePattern& first = body[order[0]];
-  std::unique_ptr<PlanNode> scan =
-      scan_or_ref(first, cards[order[0]], /*driving=*/true);
+  // the join instead). A range is pinned as the driving scan: the shadow
+  // index emits (hid, subject, ...) order across the interval, which no
+  // per-subject probe order survives, so it anchors the chain and every
+  // body atom joins onto it. Otherwise the first atom of the order drives.
+  std::unique_ptr<PlanNode> scan;
+  ConjunctiveQuery prefix;
+  size_t next_step = 0;
+  // Prefix estimates of a range chain come from the representative
+  // disjunct's prefixes, scaled by how much wider the interval is than the
+  // representative's own scan: the group's branches are identical up to the
+  // masked constant, so the representative's join selectivities stand in
+  // for all of them. A plain chain scales by 1.0, which is exact.
+  double scale = 1.0;
+  if (range != nullptr) {
+    const TripleStore* store = estimator_->store();
+    const double range_rows = static_cast<double>(
+        range->class_space
+            ? store->CountClassHidRange(range->lo, range->hi)
+            : store->CountPropertyHidRange(range->lo, range->hi));
+    scan = MakeNode(PlanNodeKind::kScanRange);
+    scan->atom = *masked;
+    scan->driving_scan = true;
+    scan->range_lo = range->lo;
+    scan->range_hi = range->hi;
+    scan->range_class_space = range->class_space;
+    scan->range_terms = range->members.size();
+    scan->out_columns = AtomColumns(*masked);
+    scan->est_rows = range_rows;
+    scan->est_cost = k.c_r * range_rows;
+    prefix.atoms.push_back(*masked);
+    scale = range_rows / std::max(1.0, estimator_->EstimateAtom(*masked));
+  } else {
+    scan = scan_or_ref(body[order[0]], cards[order[0]], /*driving=*/true);
+    prefix.atoms.push_back(body[order[0]]);
+    next_step = 1;
+  }
+  double inter = scan->est_rows;
   if (chain == nullptr) {
     chain = std::move(scan);
   } else {
@@ -202,14 +272,11 @@ std::unique_ptr<PlanNode> Planner::BuildCqChain(
     chain = std::move(guarded);
   }
 
-  ConjunctiveQuery prefix;
-  prefix.atoms.push_back(first);
-  double inter = cards[order[0]];
-  for (size_t step = 1; step < order.size(); ++step) {
+  for (size_t step = next_step; step < order.size(); ++step) {
     const TriplePattern& atom = body[order[step]];
     const double scanned = cards[order[step]];
     prefix.atoms.push_back(atom);
-    const double out = estimator_->EstimateCQ(prefix);
+    const double out = estimator_->EstimateCQ(prefix) * scale;
     const std::vector<VarId> atom_cols = AtomColumns(atom);
     bool binds_position = false;
     for (VarId v : atom_cols) {
@@ -240,229 +307,6 @@ std::unique_ptr<PlanNode> Planner::BuildCqChain(
   return chain;
 }
 
-std::unique_ptr<PlanNode> Planner::BuildRangeChain(
-    const ConjunctiveQuery& cq, const CollapsedRange& range) const {
-  const CostConstants& k = profile_->cost;
-  const TripleStore* store = estimator_->store();
-  const TriplePattern& masked = cq.atoms[range.atom_index];
-
-  auto scan = MakeNode(PlanNodeKind::kScanRange);
-  scan->atom = masked;
-  scan->driving_scan = true;
-  scan->range_lo = range.lo;
-  scan->range_hi = range.hi;
-  scan->range_class_space = range.class_space;
-  scan->range_terms = range.members.size();
-  scan->out_columns = AtomColumns(masked);
-  const double range_rows = static_cast<double>(
-      range.class_space ? store->CountClassHidRange(range.lo, range.hi)
-                        : store->CountPropertyHidRange(range.lo, range.hi));
-  scan->est_rows = range_rows;
-  scan->est_cost = k.c_r * range_rows;
-
-  // Suffix estimates come from the representative disjunct's prefixes,
-  // scaled by how much wider the interval is than the representative's own
-  // scan: the group's branches are identical up to the masked constant, so
-  // the representative's join selectivities stand in for all of them.
-  const double scale =
-      range_rows / std::max(1.0, estimator_->EstimateAtom(masked));
-
-  // Constant atoms act as boolean existence guards, exactly as in
-  // BuildCqChain; the masked atom never is one here (it has the range's
-  // hid site, but guard handling is kept for the representative's other
-  // all-constant atoms).
-  std::unique_ptr<PlanNode> chain;
-  double guard_selectivity = 1.0;
-  std::vector<TriplePattern> body;
-  for (size_t a = 0; a < cq.atoms.size(); ++a) {
-    if (a == range.atom_index) continue;
-    const TriplePattern& atom = cq.atoms[a];
-    if (!IsConstantAtom(atom)) {
-      body.push_back(atom);
-      continue;
-    }
-    auto guard = MakeNode(PlanNodeKind::kAtomScan);
-    guard->atom = atom;
-    guard->est_rows = std::min(1.0, estimator_->EstimateAtom(atom));
-    guard->est_cost = k.c_t * guard->est_rows;
-    guard_selectivity *= guard->est_rows;
-    if (chain == nullptr) {
-      chain = std::move(guard);
-    } else {
-      auto both = MakeNode(PlanNodeKind::kHashJoin);
-      both->est_rows = guard_selectivity;
-      both->est_cost = chain->est_cost + guard->est_cost;
-      both->children.push_back(std::move(chain));
-      both->children.push_back(std::move(guard));
-      chain = std::move(both);
-    }
-  }
-
-  // The range scan is pinned as the driving scan: the shadow index emits
-  // (hid, subject, ...) order across the interval, which no per-subject
-  // probe order survives, so it anchors the chain and everything else joins
-  // onto it.
-  if (chain == nullptr) {
-    chain = std::move(scan);
-  } else {
-    auto guarded = MakeNode(PlanNodeKind::kHashJoin);
-    guarded->out_columns = scan->out_columns;
-    guarded->est_rows = guard_selectivity * scan->est_rows;
-    guarded->est_cost = chain->est_cost + scan->est_cost;
-    guarded->children.push_back(std::move(chain));
-    guarded->children.push_back(std::move(scan));
-    chain = std::move(guarded);
-  }
-
-  std::vector<double> cards(body.size());
-  for (size_t i = 0; i < body.size(); ++i) {
-    cards[i] = estimator_->EstimateAtom(body[i]);
-  }
-  ConjunctiveQuery prefix;
-  prefix.atoms.push_back(masked);
-  double inter = range_rows;
-  std::vector<bool> used(body.size(), false);
-  for (size_t step = 0; step < body.size(); ++step) {
-    // Greedy pick over the remaining atoms, seeded by the pinned range scan:
-    // prefer atoms sharing a variable with the chain, among equals the
-    // smallest scan (same rule as GreedyAtomOrder).
-    int best = -1;
-    bool best_connected = false;
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (used[i]) continue;
-      bool connected = false;
-      for (VarId v : AtomColumns(body[i])) {
-        connected = connected || Contains(chain->out_columns, v);
-      }
-      if (best < 0 || (connected && !best_connected) ||
-          (connected == best_connected &&
-           cards[i] < cards[static_cast<size_t>(best)])) {
-        best = static_cast<int>(i);
-        best_connected = connected;
-      }
-    }
-    used[static_cast<size_t>(best)] = true;
-    const TriplePattern& atom = body[static_cast<size_t>(best)];
-    const double scanned = cards[static_cast<size_t>(best)];
-    prefix.atoms.push_back(atom);
-    const double out = estimator_->EstimateCQ(prefix) * scale;
-    const std::vector<VarId> atom_cols = AtomColumns(atom);
-    bool binds_position = false;
-    for (VarId v : atom_cols) {
-      binds_position = binds_position || Contains(chain->out_columns, v);
-    }
-    std::vector<VarId> out_columns = JoinColumns(chain->out_columns, atom_cols);
-
-    std::unique_ptr<PlanNode> node;
-    if (binds_position && inter * 8.0 < scanned) {
-      node = MakeNode(PlanNodeKind::kIndexJoinAtom);
-      node->atom = atom;
-      node->est_cost = chain->est_cost + (k.c_t + k.c_j) * inter + k.c_j * out;
-      node->children.push_back(std::move(chain));
-    } else {
-      auto probe = MakeNode(PlanNodeKind::kAtomScan);
-      probe->atom = atom;
-      probe->out_columns = atom_cols;
-      probe->est_rows = scanned;
-      probe->est_cost = k.c_t * scanned;
-      node = MakeNode(PlanNodeKind::kHashJoin);
-      node->est_cost =
-          chain->est_cost + probe->est_cost + k.c_j * (inter + scanned);
-      node->children.push_back(std::move(chain));
-      node->children.push_back(std::move(probe));
-    }
-    node->out_columns = std::move(out_columns);
-    node->est_rows = guard_selectivity * out;
-    chain = std::move(node);
-    inter = out;
-  }
-  return chain;
-}
-
-std::unique_ptr<PlanNode> Planner::BuildCollapsedComponent(
-    const UnionQuery& ucq, const RangeCollapsePlan& rc,
-    int component_index) const {
-  const CostConstants& k = profile_->cost;
-  auto u = MakeNode(PlanNodeKind::kUnionAll);
-  u->head = ucq.head;
-  u->out_columns = ucq.head;
-  u->pre_collapse_terms = ucq.disjuncts.size();
-  const size_t post = rc.post_terms();
-  u->union_terms = post;
-  u->over_limit = post > profile_->max_union_terms;
-
-  // Branch order: ranges and residual disjuncts interleaved by smallest
-  // source disjunct index, so the collapsed union tracks the original
-  // disjunct order deterministically.
-  struct Branch {
-    size_t first_disjunct;
-    const CollapsedRange* range;  // Null for a residual branch.
-    size_t residual_disjunct;
-  };
-  std::vector<Branch> branches;
-  branches.reserve(post);
-  for (const CollapsedRange& r : rc.ranges) {
-    branches.push_back(Branch{r.members.front(), &r, 0});
-  }
-  for (size_t d : rc.residual) {
-    branches.push_back(Branch{d, nullptr, d});
-  }
-  std::sort(branches.begin(), branches.end(),
-            [](const Branch& a, const Branch& b) {
-              return a.first_disjunct < b.first_disjunct;
-            });
-
-  const size_t planned =
-      u->over_limit ? std::min(branches.size(), kOverLimitSampleTerms)
-                    : branches.size();
-  // No union-subplan factoring across collapsed branches: the ranged scans
-  // are already the shared work, and the residual tail is small by
-  // construction.
-  double est_sum = 0.0;
-  double cost = k.c_union_term * static_cast<double>(post);
-  for (size_t b = 0; b < planned; ++b) {
-    const Branch& branch = branches[b];
-    const size_t source =
-        branch.range != nullptr ? branch.range->rep : branch.residual_disjunct;
-    std::unique_ptr<PlanNode> chain =
-        branch.range != nullptr
-            ? BuildRangeChain(ucq.disjuncts[branch.range->rep], *branch.range)
-            : BuildCqChain(ucq.disjuncts[branch.residual_disjunct]);
-    if (chain == nullptr) {
-      chain = MakeNode(PlanNodeKind::kProject);
-      chain->est_rows = 1.0;
-    }
-    est_sum += chain->est_rows;
-    cost += chain->est_cost;
-    // The representative disjunct carries the branch's projection: the
-    // collapse signature pins head variables and head bindings literally
-    // across the group, so it is exact for every member.
-    u->disjuncts.push_back(ucq.disjuncts[source]);
-    u->children.push_back(std::move(chain));
-  }
-  u->est_rows = est_sum;
-  u->est_cost = cost;
-
-  auto dedup = MakeNode(PlanNodeKind::kDedup);
-  dedup->component = component_index;
-  dedup->out_columns = ucq.head;
-  dedup->est_rows = est_sum;
-  dedup->est_cost = cost + k.c_l * est_sum;
-  dedup->children.push_back(std::move(u));
-  return dedup;
-}
-
-std::unique_ptr<PlanNode> Planner::FinishComponent(
-    std::unique_ptr<PlanNode> dedup, const UnionQuery& ucq) const {
-  if (views_ == nullptr) return dedup;
-  const PlanNode* u = dedup->children[0].get();
-  if (u->over_limit) return dedup;  // Never executes; nothing to materialize.
-  dedup->view_signature = ViewSignature(ucq);
-  views_->NoteComponent(dedup->view_signature, ucq, u->est_cost,
-                        u->union_terms);
-  return dedup;
-}
-
 std::unique_ptr<PlanNode> Planner::BuildComponent(
     const UnionQuery& ucq, int component_index,
     std::vector<std::unique_ptr<PlanNode>>* shared_out) const {
@@ -471,72 +315,64 @@ std::unique_ptr<PlanNode> Planner::BuildComponent(
   // Hierarchy-range collapse (DESIGN.md §12): with the feature on and an
   // encoding attached to the store, disjunct groups identical up to one
   // hierarchy constant whose hids form a consecutive run become single
-  // kScanRange branches. The safety valve keeps a range only when the
-  // interval scan prices below its member scans plus the union-term
-  // overhead it saves — with calibrated profiles (c_r ≈ c_t) that is
-  // essentially always, but a profile modelling an expensive range kernel
-  // can veto the rewrite per range.
-  if (profile_->hierarchy_ranges && ucq.disjuncts.size() >= 2) {
-    const HierarchyEncoding* encoding = estimator_->store()->hierarchy();
-    if (encoding != nullptr) {
-      RangeCollapsePlan rc = AnalyzeRangeCollapse(ucq, *encoding);
-      if (!rc.ranges.empty()) {
-        const TripleStore* store = estimator_->store();
-        std::vector<CollapsedRange> kept;
-        kept.reserve(rc.ranges.size());
-        for (CollapsedRange& r : rc.ranges) {
-          const double rows = static_cast<double>(
-              r.class_space ? store->CountClassHidRange(r.lo, r.hi)
-                            : store->CountPropertyHidRange(r.lo, r.hi));
-          const double union_cost =
-              k.c_t * rows +
-              k.c_union_term * static_cast<double>(r.members.size() - 1);
-          if (k.c_r * rows < union_cost) {
-            kept.push_back(std::move(r));
-          } else {
-            rc.residual.insert(rc.residual.end(), r.members.begin(),
-                               r.members.end());
-          }
-        }
-        const bool demoted = kept.size() != rc.ranges.size();
-        rc.ranges = std::move(kept);
-        if (demoted) {
-          std::sort(rc.residual.begin(), rc.residual.end());
-        }
-      }
-      if (!rc.ranges.empty()) {
-        return FinishComponent(BuildCollapsedComponent(ucq, rc, component_index),
-                               ucq);
-      }
-    }
+  // kScanRange-driven branches. AnalyzeRangeCollapse is the whole decision;
+  // the cover oracle's cost inputs read the same one, so the oracle prices
+  // the union this builds. Without it every disjunct is a residual branch.
+  const HierarchyEncoding* encoding =
+      profile_->hierarchy_ranges ? estimator_->store()->hierarchy() : nullptr;
+  RangeCollapsePlan rc;
+  if (encoding != nullptr) {
+    rc = AnalyzeRangeCollapse(ucq, *encoding);
+  } else {
+    rc.residual.resize(ucq.disjuncts.size());
+    std::iota(rc.residual.begin(), rc.residual.end(), size_t{0});
   }
+
+  // Branch order: ranges and residual disjuncts interleaved by source
+  // disjunct (a range's representative is its smallest member), so a
+  // collapsed union tracks the original disjunct order deterministically.
+  struct Branch {
+    size_t disjunct;
+    const CollapsedRange* range;  // Null for a residual branch.
+  };
+  std::vector<Branch> branches;
+  branches.reserve(rc.post_terms());
+  for (const CollapsedRange& r : rc.ranges) branches.push_back({r.rep, &r});
+  for (size_t d : rc.residual) branches.push_back({d, nullptr});
+  std::sort(branches.begin(), branches.end(),
+            [](const Branch& a, const Branch& b) {
+              return a.disjunct < b.disjunct;
+            });
 
   auto u = MakeNode(PlanNodeKind::kUnionAll);
   u->head = ucq.head;
   u->out_columns = ucq.head;
   u->pre_collapse_terms = ucq.disjuncts.size();
-  u->union_terms = ucq.disjuncts.size();
-  u->over_limit = ucq.disjuncts.size() > profile_->max_union_terms;
+  u->union_terms = branches.size();
+  u->over_limit = branches.size() > profile_->max_union_terms;
 
-  // An over-limit union can never execute; plan only a few sample disjuncts
+  // An over-limit union can never execute; plan only a few sample branches
   // so EXPLAIN can still render the infeasible plan.
   const size_t planned =
-      u->over_limit ? std::min(ucq.disjuncts.size(), kOverLimitSampleTerms)
-                    : ucq.disjuncts.size();
+      u->over_limit ? std::min(branches.size(), kOverLimitSampleTerms)
+                    : branches.size();
   std::vector<std::unique_ptr<PlanNode>> chains;
   chains.reserve(planned);
-  for (size_t d = 0; d < planned; ++d) {
-    chains.push_back(BuildCqChain(ucq.disjuncts[d]));
+  for (size_t b = 0; b < planned; ++b) {
+    chains.push_back(
+        BuildCqChain(ucq.disjuncts[branches[b].disjunct], branches[b].range));
   }
 
   // Union-subplan factoring (DESIGN.md §11): an atom scanned by two or more
   // disjunct chains becomes an execute-once shared subplan; each chain
   // rebuilds with a kSharedRef leaf in its place. Operator choices are
   // estimate-driven and identical across the rebuild, so only scan leaves
-  // change. Off for over-limit unions (they never execute) and for profiles
-  // that model engines re-evaluating every branch in isolation.
+  // change. Off for over-limit unions (they never execute), for profiles
+  // that model engines re-evaluating every branch in isolation, and for
+  // collapsed unions: the ranged scans are already the shared work, and the
+  // residual tail is small by construction.
   double shared_cost = 0.0;
-  if (profile_->share_union_subplans && !u->over_limit &&
+  if (profile_->share_union_subplans && rc.ranges.empty() && !u->over_limit &&
       shared_out != nullptr && planned > 1) {
     std::map<SharedAtomKey, std::pair<size_t, const PlanNode*>> counts;
     std::vector<const PlanNode*> leaves;
@@ -570,17 +406,18 @@ std::unique_ptr<PlanNode> Planner::BuildComponent(
       shared_out->push_back(std::move(shared));
     }
     if (!shared_map.empty()) {
-      for (size_t d = 0; d < planned; ++d) {
-        chains[d] = BuildCqChain(ucq.disjuncts[d], &shared_map);
+      for (size_t b = 0; b < planned; ++b) {
+        chains[b] = BuildCqChain(ucq.disjuncts[branches[b].disjunct],
+                                 /*range=*/nullptr, &shared_map);
       }
     }
   }
 
   double est_sum = 0.0;
-  double cost = shared_cost +
-                k.c_union_term * static_cast<double>(ucq.disjuncts.size());
-  for (size_t d = 0; d < planned; ++d) {
-    std::unique_ptr<PlanNode> chain = std::move(chains[d]);
+  double cost =
+      shared_cost + k.c_union_term * static_cast<double>(branches.size());
+  for (size_t b = 0; b < planned; ++b) {
+    std::unique_ptr<PlanNode> chain = std::move(chains[b]);
     if (chain == nullptr) {
       // Atom-less disjunct: a single always-true row.
       chain = MakeNode(PlanNodeKind::kProject);
@@ -588,7 +425,10 @@ std::unique_ptr<PlanNode> Planner::BuildComponent(
     }
     est_sum += chain->est_rows;
     cost += chain->est_cost;
-    u->disjuncts.push_back(ucq.disjuncts[d]);
+    // A range's representative disjunct carries the branch's projection:
+    // the collapse signature pins head variables and head bindings
+    // literally across the group, so it is exact for every member.
+    u->disjuncts.push_back(ucq.disjuncts[branches[b].disjunct]);
     u->children.push_back(std::move(chain));
   }
   u->est_rows = est_sum;
@@ -599,8 +439,16 @@ std::unique_ptr<PlanNode> Planner::BuildComponent(
   dedup->out_columns = ucq.head;
   dedup->est_rows = est_sum;
   dedup->est_cost = cost + k.c_l * est_sum;
+  // View catalog (DESIGN.md §14): an executable component is announced to
+  // the resolver and its root stamped with the component's ViewSignature.
+  // An over-limit union never executes; there is nothing to materialize.
+  if (views_ != nullptr && !u->over_limit) {
+    dedup->view_signature = ViewSignature(ucq);
+    views_->NoteComponent(dedup->view_signature, ucq, u->est_cost,
+                          u->union_terms);
+  }
   dedup->children.push_back(std::move(u));
-  return FinishComponent(std::move(dedup), ucq);
+  return dedup;
 }
 
 Planner::ComponentCombination Planner::CombineComponents(
@@ -619,32 +467,20 @@ Planner::ComponentCombination Planner::CombineComponents(
     }
   }
 
-  // Greedy join order: smallest estimate first, then the smallest component
-  // sharing a column with the accumulated result.
-  std::vector<bool> used(n, false);
-  std::vector<VarId> acc_cols;
-  while (comb.order.size() < n) {
-    int best = -1;
-    bool best_connected = false;
-    for (size_t i = 0; i < n; ++i) {
-      if (used[i]) continue;
-      bool connected = comb.order.empty();
-      for (VarId v : components[i].second) {
-        connected = connected || Contains(acc_cols, v);
-      }
-      if (best < 0 || (connected && !best_connected) ||
-          (connected == best_connected &&
-           components[i].first <
-               components[static_cast<size_t>(best)].first)) {
-        best = static_cast<int>(i);
-        best_connected = connected;
-      }
-    }
-    used[static_cast<size_t>(best)] = true;
-    comb.order.push_back(static_cast<size_t>(best));
-    acc_cols = JoinColumns(acc_cols,
-                           components[static_cast<size_t>(best)].second);
-  }
+  // Greedy join order (the atom-ordering rule): smallest estimate first,
+  // then the smallest component sharing a column with those joined so far.
+  comb.order = GreedyOrder(
+      n,
+      [&](size_t i, const std::vector<size_t>& order) {
+        if (order.empty()) return true;
+        for (size_t j : order) {
+          for (VarId v : components[i].second) {
+            if (Contains(components[j].second, v)) return true;
+          }
+        }
+        return false;
+      },
+      [&](size_t i) { return components[i].first; });
 
   if (n > 1) {
     double join_inputs = 0.0;

@@ -22,10 +22,14 @@ namespace rdfopt {
 /// atoms sharing a variable with what is ordered so far and, among equals,
 /// the smallest scan (ties resolved to the lowest index). This used to be
 /// re-derived in the evaluator, the explainer and the engine cost walk; it
-/// now exists exactly once and every consumer goes through the plan built
-/// from it. `cards` must hold one estimated scan size per atom.
+/// now exists exactly once (the JUCQ component order applies the same rule)
+/// and every consumer goes through the plan built from it. `cards` must
+/// hold one estimated scan size per atom. A non-null `pinned` atom counts
+/// as already ordered, outside `atoms`: the range chain's driving scan, to
+/// which every pick is connected first.
 std::vector<size_t> GreedyAtomOrder(const std::vector<TriplePattern>& atoms,
-                                    const std::vector<double>& cards);
+                                    const std::vector<double>& cards,
+                                    const TriplePattern* pinned = nullptr);
 
 /// The kQueryTooComplex message the engine reports for a union over the
 /// profile's plan limit; shared by the planner (plan feasibility) and the
@@ -98,41 +102,36 @@ class Planner {
 
   /// Join tree over the disjunct's atoms (constant atoms become boolean
   /// existence guards below the driving scan); no projection or dedup.
-  /// Null for a disjunct with no atoms (the always-true CQ).
+  /// Null for a disjunct with no atoms (the always-true CQ). The one chain
+  /// builder for plain and collapsed branches:
+  ///  * `range` null: the first atom of GreedyAtomOrder drives the chain;
+  ///  * `range` set (cq is the range's representative): its masked atom is
+  ///    replaced by a kScanRange driving scan over the hid interval (exact
+  ///    row count, priced c_r per row), the remaining atoms follow
+  ///    GreedyAtomOrder pinned to it, and every prefix estimate is scaled
+  ///    by range rows / the masked atom's own estimate.
   /// When `shared_scans` is non-null, scans of atoms in the map become
   /// kSharedRef leaves (est_cost 0 — the shared subplan is priced once at
   /// the union); operator choices are estimate-driven and unaffected.
   std::unique_ptr<PlanNode> BuildCqChain(
-      const ConjunctiveQuery& cq,
+      const ConjunctiveQuery& cq, const CollapsedRange* range = nullptr,
       const SharedScanMap* shared_scans = nullptr) const;
-  /// Dedup(UnionAll(disjunct chains)) — one JUCQ component (or a whole UCQ).
-  /// With profile().share_union_subplans, atom scans appearing in two or
-  /// more disjunct chains are factored into execute-once subplans appended
-  /// to `shared_out` (the plan's shared_subplans vector); null disables.
-  /// With profile().hierarchy_ranges and a store-attached HierarchyEncoding,
-  /// a range-collapse pass (cost/range_collapse.h) runs first: collapsible
-  /// disjunct groups become single kScanRange-driven branches and the
-  /// union's term count and over-limit flag are computed post-collapse —
-  /// callers read them off the built union node.
+  /// Dedup(UnionAll(branch chains)) — one JUCQ component (or a whole UCQ).
+  /// Branches are the AnalyzeRangeCollapse decomposition when
+  /// profile().hierarchy_ranges is on and the store has a HierarchyEncoding
+  /// (one per range, one per residual disjunct), else one per disjunct;
+  /// ordered by source disjunct, each built by BuildCqChain. The union's
+  /// term count and over-limit flag are the branch count — the same count
+  /// the cover oracle's cost inputs charge — and callers read them off the
+  /// built union node. Without ranges and with
+  /// profile().share_union_subplans, atom scans appearing in two or more
+  /// chains are factored into execute-once subplans appended to
+  /// `shared_out` (the plan's shared_subplans vector); null disables. With
+  /// a view resolver, an executable component is announced to it and its
+  /// dedup root stamped with the component's ViewSignature.
   std::unique_ptr<PlanNode> BuildComponent(
       const UnionQuery& ucq, int component_index,
       std::vector<std::unique_ptr<PlanNode>>* shared_out) const;
-  /// Union of kScanRange branches (one per collapsed range) and ordinary
-  /// residual chains, ordered by smallest source disjunct.
-  std::unique_ptr<PlanNode> BuildCollapsedComponent(
-      const UnionQuery& ucq, const RangeCollapsePlan& rc,
-      int component_index) const;
-  /// Join chain of the representative disjunct with the masked atom pinned
-  /// as a kScanRange driving scan over the range's hid interval (the shadow
-  /// index has no per-subject order across hids, so the ranged atom is
-  /// never index-probed).
-  std::unique_ptr<PlanNode> BuildRangeChain(const ConjunctiveQuery& cq,
-                                            const CollapsedRange& range) const;
-  /// View-catalog tail of BuildComponent: announces an executable
-  /// component to the resolver and stamps its dedup root with the
-  /// component's ViewSignature. No-op without a resolver.
-  std::unique_ptr<PlanNode> FinishComponent(std::unique_ptr<PlanNode> dedup,
-                                            const UnionQuery& ucq) const;
   /// Preorder ids + node count + plan-level aggregates.
   void Finalize(PhysicalPlan* plan) const;
 

@@ -33,6 +33,9 @@ TEST(CalibrationTest, FitsSaneConstants) {
     EXPECT_LT(v, 1e6);
   }
   EXPECT_LT(k.c_t, 1000.0);  // Microseconds per tuple, must be << 1ms.
+  // No sweep times a range scan: c_r follows c_t so the two stay in the
+  // same units (the range collapse is priced against member scans).
+  EXPECT_EQ(k.c_r, k.c_t);
   EXPECT_FALSE(report.scan_samples.empty());
   EXPECT_FALSE(report.join_samples.empty());
   EXPECT_FALSE(report.union_term_samples.empty());

@@ -7,10 +7,7 @@
 // To regenerate after an intentional change:
 //   RDFOPT_UPDATE_GOLDENS=1 ./rdfopt_tests --gtest_filter='ExplainGolden*'
 
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 
@@ -19,18 +16,17 @@
 #include "engine/evaluator.h"
 #include "engine/explain.h"
 #include "engine/view_resolver.h"
+#include "golden.h"
 #include "optimizer/answering.h"
 #include "reformulation/reformulator.h"
 #include "sparql/parser.h"
 #include "workload/lubm.h"
 #include "workload/query_sets.h"
 
-#ifndef RDFOPT_GOLDEN_DIR
-#define RDFOPT_GOLDEN_DIR "tests/golden"
-#endif
-
 namespace rdfopt {
 namespace {
+
+using testing::CheckGolden;
 
 class ExplainGoldenTest : public ::testing::Test {
  protected:
@@ -61,25 +57,6 @@ class ExplainGoldenTest : public ::testing::Test {
     Result<AnswerOutcome> r = answerer_->Answer(q.ValueOrDie(), options);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.TakeValue();
-  }
-
-  static void CheckGolden(const std::string& name,
-                          const std::string& actual) {
-    const std::string path = std::string(RDFOPT_GOLDEN_DIR) + "/" + name;
-    if (std::getenv("RDFOPT_UPDATE_GOLDENS") != nullptr) {
-      std::ofstream out(path, std::ios::binary);
-      ASSERT_TRUE(out.good()) << "cannot write " << path;
-      out << actual;
-      return;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "missing golden file " << path
-                           << " (regenerate with RDFOPT_UPDATE_GOLDENS=1)";
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    EXPECT_EQ(buffer.str(), actual)
-        << name << " drifted; if intentional, regenerate with "
-        << "RDFOPT_UPDATE_GOLDENS=1";
   }
 
   static Graph* graph_;

@@ -9,91 +9,30 @@
 // same-plan worker-count comparisons stay bit-identical (rows AND order).
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/evaluator.h"
+#include "hierarchy_workloads.h"
 #include "rdf/hierarchy_encoding.h"
 #include "reformulation/reformulator.h"
 #include "service/query_service.h"
 #include "sparql/parser.h"
-#include "workload/dblp.h"
-#include "workload/lubm.h"
 #include "workload/query_sets.h"
 
 namespace rdfopt {
 namespace {
 
+using testing::BatchProfile;
+using testing::BuildDiamondWorkload;
+using testing::DblpWorkload;
+using testing::HierarchyWorkload;
+using testing::LubmFineGrainedWorkload;
+using testing::LubmWorkload;
+
 constexpr size_t kMaxTermsCompared = 4096;
-
-struct Workload {
-  Graph graph;
-  TripleStore store;
-
-  void Finish() {
-    graph.FinalizeSchema();
-    store = TripleStore::Build(graph.data_triples());
-    store.AttachHierarchy(std::make_shared<const HierarchyEncoding>(
-        HierarchyEncoding::Build(graph.schema(), graph.vocab().rdf_type)));
-  }
-};
-
-Workload& Lubm() {
-  static Workload& w = *[] {
-    auto* w = new Workload();
-    LubmOptions options;
-    options.num_universities = 1;
-    GenerateLubm(options, &w->graph);
-    w->Finish();
-    return w;
-  }();
-  return w;
-}
-
-/// The deep-hierarchy regime the collapse targets: specialty leaf classes
-/// under the professor ranks, professors typed at the leaves. 48 leaves
-/// keeps the uncollapsed reference engine fast enough for the TSan job
-/// while still forcing ~50-term type unions (the bench uses 240).
-Workload& LubmFineGrained() {
-  static Workload& w = *[] {
-    auto* w = new Workload();
-    LubmOptions options;
-    options.num_universities = 1;
-    options.fine_grained_specializations = 48;
-    GenerateLubm(options, &w->graph);
-    w->Finish();
-    return w;
-  }();
-  return w;
-}
-
-Workload& Dblp() {
-  static Workload& w = *[] {
-    auto* w = new Workload();
-    DblpOptions options;
-    options.num_publications = 1500;
-    GenerateDblp(options, &w->graph);
-    w->Finish();
-    return w;
-  }();
-  return w;
-}
-
-/// Batch engine, emulated overheads zeroed, with or without the collapse.
-EngineProfile Profile(bool hierarchy_ranges, size_t worker_threads = 1) {
-  EngineProfile p = Vectorized(PostgresLikeProfile());
-  p.tuple_us_per_row = 0.0;
-  p.union_term_overhead_us = 0.0;
-  p.materialization_us_per_row = 0.0;
-  p.max_union_terms = 1u << 20;
-  p.timeout_seconds = 300.0;
-  p.hierarchy_ranges = hierarchy_ranges;
-  p.worker_threads = worker_threads;
-  return p;
-}
 
 std::vector<std::vector<ValueId>> SortedRows(const Relation& rel) {
   std::vector<std::vector<ValueId>> rows(rel.num_rows());
@@ -130,12 +69,13 @@ void ExpectIdenticalRelations(const Relation& a, const Relation& b,
 /// with the plain union engine on the answer set, and with itself
 /// bit-identically at 1 vs 4 workers. `*collapsed` counts queries whose
 /// plan actually collapsed at least one union term.
-void RunDifferential(Workload* w, const std::vector<BenchmarkQuery>& set,
+void RunDifferential(HierarchyWorkload* w,
+                     const std::vector<BenchmarkQuery>& set,
                      size_t* collapsed) {
   Reformulator reformulator(&w->graph.schema(), &w->graph.vocab());
-  EngineProfile union_profile = Profile(false);
-  EngineProfile range1 = Profile(true, 1);
-  EngineProfile range4 = Profile(true, 4);
+  EngineProfile union_profile = BatchProfile(false);
+  EngineProfile range1 = BatchProfile(true, 1);
+  EngineProfile range4 = BatchProfile(true, 4);
   Evaluator union_engine(&w->store, &union_profile);
   Evaluator range_engine1(&w->store, &range1);
   Evaluator range_engine4(&w->store, &range4);
@@ -177,7 +117,7 @@ void RunDifferential(Workload* w, const std::vector<BenchmarkQuery>& set,
 
 TEST(HierarchyDifferentialTest, LubmQuerySetSameAnswers) {
   size_t collapsed = 0;
-  RunDifferential(&Lubm(), LubmQuerySet(), &collapsed);
+  RunDifferential(&LubmWorkload(), LubmQuerySet(), &collapsed);
   // The stock LUBM ontology already has collapsible type hierarchies; if no
   // plan collapses the differential is vacuous.
   EXPECT_GE(collapsed, 1u);
@@ -185,13 +125,13 @@ TEST(HierarchyDifferentialTest, LubmQuerySetSameAnswers) {
 
 TEST(HierarchyDifferentialTest, LubmFineGrainedQuerySetSameAnswers) {
   size_t collapsed = 0;
-  RunDifferential(&LubmFineGrained(), LubmQuerySet(), &collapsed);
+  RunDifferential(&LubmFineGrainedWorkload(), LubmQuerySet(), &collapsed);
   EXPECT_GE(collapsed, 1u);
 }
 
 TEST(HierarchyDifferentialTest, DblpQuerySetSameAnswers) {
   size_t collapsed = 0;
-  RunDifferential(&Dblp(), DblpQuerySet(), &collapsed);
+  RunDifferential(&DblpWorkload(), DblpQuerySet(), &collapsed);
 }
 
 TEST(HierarchyDifferentialTest, MultiParentResidualBranchesStayCorrect) {
@@ -199,21 +139,12 @@ TEST(HierarchyDifferentialTest, MultiParentResidualBranchesStayCorrect) {
   // both. HybridProf is interval-owned by one parent and a residual of the
   // other, so a query over the non-owning parent must execute a ScanRange
   // branch PLUS a residual scan branch — and still match the plain union.
-  Workload w;
-  const char* kSc = "http://www.w3.org/2000/01/rdf-schema#subClassOf";
-  const char* kType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
-  w.graph.AddIri("http://ex/TeachingProf", kSc, "http://ex/Prof");
-  w.graph.AddIri("http://ex/ResearchProf", kSc, "http://ex/Prof");
-  w.graph.AddIri("http://ex/HybridProf", kSc, "http://ex/TeachingProf");
-  w.graph.AddIri("http://ex/HybridProf", kSc, "http://ex/ResearchProf");
-  w.graph.AddIri("http://ex/alice", kType, "http://ex/TeachingProf");
-  w.graph.AddIri("http://ex/bob", kType, "http://ex/ResearchProf");
-  w.graph.AddIri("http://ex/carol", kType, "http://ex/HybridProf");
-  w.Finish();
+  HierarchyWorkload w;
+  BuildDiamondWorkload(&w);
 
   Reformulator reformulator(&w.graph.schema(), &w.graph.vocab());
-  EngineProfile union_profile = Profile(false);
-  EngineProfile range_profile = Profile(true);
+  EngineProfile union_profile = BatchProfile(false);
+  EngineProfile range_profile = BatchProfile(true);
   Evaluator union_engine(&w.store, &union_profile);
   Evaluator range_engine(&w.store, &range_profile);
 
@@ -257,8 +188,8 @@ TEST(HierarchyDifferentialTest, EpochCrossingReencodeThroughService) {
   graph.AddIri("http://ex/alice", kType, "http://ex/Student");
   graph.AddIri("http://ex/bob", kType, "http://ex/Professor");
 
-  QueryService range_service(&graph, Profile(true));
-  QueryService union_service(&graph, Profile(false));
+  QueryService range_service(&graph, BatchProfile(true));
+  QueryService union_service(&graph, BatchProfile(false));
   const std::string q = "SELECT ?x WHERE { ?x rdf:type <http://ex/Person> }";
 
   Result<ServiceOutcome> r1 = range_service.AnswerText(q);

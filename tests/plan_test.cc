@@ -1,7 +1,10 @@
 #include "engine/plan.h"
 
 #include <cctype>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <set>
@@ -11,12 +14,18 @@
 #include <gtest/gtest.h>
 
 #include "common/trace.h"
+#include "cost/cost_model.h"
 #include "engine/evaluator.h"
 #include "engine/explain.h"
 #include "engine/planner.h"
+#include "golden.h"
+#include "hierarchy_workloads.h"
 #include "optimizer/answering.h"
+#include "optimizer/cover.h"
 #include "rdf/graph.h"
+#include "reformulation/reformulator.h"
 #include "sparql/parser.h"
+#include "storage/statistics.h"
 #include "workload/lubm.h"
 #include "workload/query_sets.h"
 
@@ -399,6 +408,198 @@ TEST_F(PlanOrderConsistencyTest, GcovKeepsPlanAndAnswersMatchExecution) {
   EXPECT_TRUE(o.plan->root->executed);
   EXPECT_EQ(o.plan->root->actual_rows, o.answers.num_rows());
   EXPECT_GT(o.plan->est_cost(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Planner fingerprints: one line per plan over the evaluation query sets on
+// hierarchy-encoded stores, pinning the plan shape (PlanDigest), the union
+// term counts, feasibility and the bits of every node's estimates. Any
+// change to atom order, operator choice, range collapse, union-subplan
+// sharing or cost arithmetic shows up as a diff against
+// tests/golden/planner_fingerprints.txt.
+//
+// To regenerate after an intentional change:
+//   RDFOPT_UPDATE_GOLDENS=1 ./rdfopt_tests --gtest_filter='PlannerFingerprint*'
+
+/// Reformulations above this many terms are recorded as skipped (the same
+/// budget as the hierarchy differential suite).
+constexpr size_t kMaxFingerprintTerms = 4096;
+
+uint64_t DoubleBits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// FNV-1a over the bits of every node's est_rows and est_cost, shared
+/// subplans included, in preorder.
+uint64_t EstimateBitsDigest(const PhysicalPlan& plan) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  plan.ForEachNode([&](const PlanNode& node) {
+    mix(DoubleBits(node.est_rows));
+    mix(DoubleBits(node.est_cost));
+  });
+  return h;
+}
+
+std::string FingerprintLine(const std::string& label,
+                            const PhysicalPlan& plan) {
+  size_t pre_collapse = 0;
+  plan.ForEachNode([&](const PlanNode& node) {
+    if (node.kind == PlanNodeKind::kUnionAll) {
+      pre_collapse += node.pre_collapse_terms;
+    }
+  });
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                " digest=%016llx terms=%zu pre=%zu feasible=%d rows=%a "
+                "cost=%a est=%016llx\n",
+                static_cast<unsigned long long>(PlanDigest(plan)),
+                plan.union_terms, pre_collapse, plan.feasibility.ok() ? 1 : 0,
+                plan.root->est_rows, plan.root->est_cost,
+                static_cast<unsigned long long>(EstimateBitsDigest(plan)));
+  return label + buf;
+}
+
+bool HasScanRange(const PhysicalPlan& plan) {
+  bool found = false;
+  plan.ForEachNode([&](const PlanNode& node) {
+    found = found || node.kind == PlanNodeKind::kScanRange;
+  });
+  return found;
+}
+
+/// Fingerprints of every query of `set` on `w`: PlanUCQ of the UCQ
+/// reformulation and PlanJUCQ of the SCQ cover reformulation, each under
+/// {ranges off, on} x {union-subplan sharing off, on}.
+void AppendFingerprints(testing::HierarchyWorkload* w, const char* set_name,
+                        const std::vector<BenchmarkQuery>& set,
+                        std::string* out) {
+  const Statistics stats = Statistics::Compute(w->store);
+  const CardinalityEstimator estimator(&w->store, &stats);
+  Reformulator reformulator(&w->graph.schema(), &w->graph.vocab());
+  for (const BenchmarkQuery& bq : set) {
+    Result<Query> parsed = ParseQuery(bq.text, &w->graph.dict());
+    ASSERT_TRUE(parsed.ok()) << bq.name << ": " << parsed.status().ToString();
+    Query q = parsed.TakeValue();
+    const std::string prefix = std::string(set_name) + "/" + bq.name;
+    VarTable ucq_vars = q.vars;
+    Result<UnionQuery> ucq = reformulator.ReformulateCQ(q.cq, &ucq_vars);
+    const bool plan_ucq =
+        ucq.ok() && ucq.ValueOrDie().size() <= kMaxFingerprintTerms;
+    if (!plan_ucq) *out += prefix + " ucq skipped\n";
+    VarTable jucq_vars = q.vars;
+    Result<JoinOfUnions> jucq = CoverBasedReformulation(
+        q.cq, ScqCover(q.cq.atoms.size()), reformulator, &jucq_vars,
+        kMaxFingerprintTerms);
+    if (!jucq.ok()) *out += prefix + " scq skipped\n";
+    for (bool ranges : {false, true}) {
+      for (bool share : {false, true}) {
+        EngineProfile profile = testing::BatchProfile(ranges);
+        profile.share_union_subplans = share;
+        const Planner planner(&estimator, &profile);
+        const std::string config = std::string(" ranges=") +
+                                   (ranges ? "1" : "0") +
+                                   " share=" + (share ? "1" : "0");
+        if (plan_ucq) {
+          *out += FingerprintLine(prefix + " ucq" + config,
+                                  planner.PlanUCQ(ucq.ValueOrDie()));
+        }
+        if (jucq.ok()) {
+          *out += FingerprintLine(prefix + " scq" + config,
+                                  planner.PlanJUCQ(jucq.ValueOrDie()));
+        }
+      }
+    }
+  }
+}
+
+TEST(PlannerFingerprintTest, PlansMatchGolden) {
+  std::string out;
+  AppendFingerprints(&testing::LubmWorkload(), "lubm", LubmQuerySet(), &out);
+  AppendFingerprints(&testing::LubmFineGrainedWorkload(), "lubm48",
+                     LubmQuerySet(), &out);
+  AppendFingerprints(&testing::DblpWorkload(), "dblp", DblpQuerySet(), &out);
+
+  // A range and a residual branch in one union (multi-parent diamond).
+  testing::HierarchyWorkload diamond;
+  testing::BuildDiamondWorkload(&diamond);
+  std::vector<BenchmarkQuery> diamond_set;
+  for (const char* cls : {"Prof", "TeachingProf", "ResearchProf"}) {
+    diamond_set.push_back(
+        {cls, std::string("SELECT ?x WHERE { ?x rdf:type <http://ex/") + cls +
+                  "> }"});
+  }
+  AppendFingerprints(&diamond, "diamond", diamond_set, &out);
+
+  // Ranged unions over the plan limit: only sample branches are planned.
+  testing::HierarchyWorkload& lubm = testing::LubmWorkload();
+  const Statistics stats = Statistics::Compute(lubm.store);
+  const CardinalityEstimator estimator(&lubm.store, &stats);
+  Reformulator reformulator(&lubm.graph.schema(), &lubm.graph.vocab());
+  EngineProfile limited = testing::BatchProfile(/*hierarchy_ranges=*/true);
+  limited.max_union_terms = 2;
+  const Planner planner(&estimator, &limited);
+  size_t sampled_ranged = 0;
+  for (const BenchmarkQuery& bq : LubmQuerySet()) {
+    Result<Query> parsed = ParseQuery(bq.text, &lubm.graph.dict());
+    ASSERT_TRUE(parsed.ok()) << bq.name;
+    Query q = parsed.TakeValue();
+    Result<UnionQuery> ucq = reformulator.ReformulateCQ(q.cq, &q.vars);
+    if (!ucq.ok() || ucq.ValueOrDie().size() > kMaxFingerprintTerms) continue;
+    PhysicalPlan plan = planner.PlanUCQ(ucq.ValueOrDie());
+    out += FingerprintLine("lubm/" + bq.name + " ucq ranges=1 limit=2", plan);
+    if (!plan.feasibility.ok() && HasScanRange(plan) &&
+        plan.union_terms > 3) {
+      ++sampled_ranged;
+    }
+  }
+  EXPECT_GE(sampled_ranged, 1u);
+
+  testing::CheckGolden("planner_fingerprints.txt", out);
+}
+
+// The cover oracle's §4.1 inputs charge c_union_term on the collapse
+// decision's post-collapse term count; the planner must run exactly that
+// many union terms, whatever the cost constants say about range scans.
+void ExpectOracleCountsPlannedTerms(testing::HierarchyWorkload* w,
+                                    const std::vector<BenchmarkQuery>& set,
+                                    const EngineProfile& profile) {
+  const Evaluator engine(&w->store, &profile);
+  Reformulator reformulator(&w->graph.schema(), &w->graph.vocab());
+  for (const BenchmarkQuery& bq : set) {
+    Result<Query> parsed = ParseQuery(bq.text, &w->graph.dict());
+    ASSERT_TRUE(parsed.ok()) << bq.name;
+    Query q = parsed.TakeValue();
+    Result<UnionQuery> ucq = reformulator.ReformulateCQ(q.cq, &q.vars);
+    if (!ucq.ok() || ucq.ValueOrDie().size() > kMaxFingerprintTerms) continue;
+    const UcqCostInputs inputs = ComputeUcqCostInputs(
+        ucq.ValueOrDie(), engine.estimator(), w->store.hierarchy());
+    EXPECT_EQ(inputs.num_disjuncts,
+              engine.planner().PlanUCQ(ucq.ValueOrDie()).union_terms)
+        << bq.name << " on " << profile.name << " (c_r " << profile.cost.c_r
+        << ", c_t " << profile.cost.c_t << ")";
+  }
+}
+
+TEST(PlannerFingerprintTest, OracleCountsTheUnionTermsThePlannerRuns) {
+  EngineProfile stock = testing::BatchProfile(/*hierarchy_ranges=*/true);
+  EngineProfile slow_ranges = stock;
+  slow_ranges.cost.c_r = 100.0 * stock.cost.c_t;
+  for (const EngineProfile* profile : {&stock, &slow_ranges}) {
+    ExpectOracleCountsPlannedTerms(&testing::LubmWorkload(), LubmQuerySet(),
+                                   *profile);
+    ExpectOracleCountsPlannedTerms(&testing::LubmFineGrainedWorkload(),
+                                   LubmQuerySet(), *profile);
+    ExpectOracleCountsPlannedTerms(&testing::DblpWorkload(), DblpQuerySet(),
+                                   *profile);
+  }
 }
 
 }  // namespace
