@@ -106,6 +106,9 @@ for required in (
     "rdfopt_views_bytes",
     "rdfopt_service_view_hits_on_cache_hit",
     "rdfopt_service_view_hits_on_cache_miss",
+    "rdfopt_optimizer_disjuncts_priced",
+    "rdfopt_optimizer_atom_store_counts",
+    "rdfopt_cost_feedback_key_builds",
 ):
     assert required in prom_text, f"missing metric: {required}"
 

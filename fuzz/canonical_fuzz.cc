@@ -6,7 +6,10 @@
 //  - ViewSignature (view-catalog key) must not change when every VarId is
 //    renamed;
 //  - FragmentKey (estimate-feedback key) must not change with the head, and
-//    the headless canonical form must be idempotent too.
+//    the headless canonical form must be idempotent too;
+//  - FragmentShape (the feedback store's lookup filter) must agree wherever
+//    FragmentKeys are equal — otherwise the filter would hide an entry —
+//    and must not change with atom order.
 // A violation here is a cache corruption bug: two runs of the same query
 // landing on different entries, or worse, different queries sharing one.
 
@@ -99,5 +102,20 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       rdfopt::FragmentKey(headless.query.cq) != fragment_key) {
     __builtin_trap();
   }
+
+  // Feedback filter: equal FragmentKeys imply equal FragmentShapes. Every
+  // conjunction checked above shares `cq`'s key; a reversed atom order may
+  // or may not (canonicalization is complete only in practice), but its
+  // shape must not move either way.
+  const uint64_t shape = rdfopt::FragmentShape(cq);
+  for (const ConjunctiveQuery* same_key :
+       {static_cast<const ConjunctiveQuery*>(&reprojected),
+        static_cast<const ConjunctiveQuery*>(&body), &headless.query.cq}) {
+    if (rdfopt::FragmentShape(*same_key) != shape) __builtin_trap();
+  }
+  if (rdfopt::FragmentShape(Renamed(cq)) != shape) __builtin_trap();
+  ConjunctiveQuery reversed = cq;
+  reversed.atoms.assign(cq.atoms.rbegin(), cq.atoms.rend());
+  if (rdfopt::FragmentShape(reversed) != shape) __builtin_trap();
   return 0;
 }

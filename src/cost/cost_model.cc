@@ -46,36 +46,34 @@ double PaperCostModel::JucqCost(const std::vector<UcqCostInputs>& components,
 }
 
 UcqCostInputs ComputeUcqCostInputs(const UnionQuery& ucq,
-                                   const CardinalityEstimator& estimator) {
-  UcqCostInputs inputs;
-  inputs.num_disjuncts = ucq.disjuncts.size();
-  for (const ConjunctiveQuery& cq : ucq.disjuncts) {
-    inputs.scan_sum += estimator.EstimateCqPlanWork(cq);
-  }
-  inputs.est_result = estimator.EstimateUCQ(ucq);
-  return inputs;
-}
-
-UcqCostInputs ComputeUcqCostInputs(const UnionQuery& ucq,
                                    const CardinalityEstimator& estimator,
-                                   const HierarchyEncoding* encoding) {
-  UcqCostInputs inputs = ComputeUcqCostInputs(ucq, estimator);
-  if (encoding != nullptr) {
-    inputs.num_disjuncts = AnalyzeRangeCollapse(ucq, *encoding).post_terms();
+                                   const HierarchyEncoding* encoding,
+                                   AtomStatistics* memo) {
+  UcqCostInputs inputs;
+  inputs.num_disjuncts = encoding != nullptr
+                             ? AnalyzeRangeCollapse(ucq, *encoding).post_terms()
+                             : ucq.disjuncts.size();
+  for (const ConjunctiveQuery& cq : ucq.disjuncts) {
+    const CardinalityEstimator::DisjunctEstimate d =
+        estimator.EstimateDisjunct(cq, memo);
+    inputs.scan_sum += d.plan_work;
+    inputs.est_result += d.rows;
   }
   return inputs;
 }
 
 UcqCostInputs ComputeUcqCostInputsLiteral(
-    const UnionQuery& ucq, const CardinalityEstimator& estimator) {
+    const UnionQuery& ucq, const CardinalityEstimator& estimator,
+    AtomStatistics* memo) {
   UcqCostInputs inputs;
   inputs.num_disjuncts = ucq.disjuncts.size();
   for (const ConjunctiveQuery& cq : ucq.disjuncts) {
     for (const TriplePattern& atom : cq.atoms) {
-      inputs.scan_sum += estimator.EstimateAtom(atom);
+      inputs.scan_sum += memo != nullptr ? memo->Get(atom).card
+                                         : estimator.EstimateAtom(atom);
     }
   }
-  inputs.est_result = estimator.EstimateUCQ(ucq);
+  inputs.est_result = estimator.EstimateUCQ(ucq, memo);
   return inputs;
 }
 

@@ -71,27 +71,32 @@ class PaperCostModel {
   const CostConstants k_;
 };
 
-/// Computes the aggregates of a materialized UCQ: plan-aware per-disjunct
-/// work, result estimate via EstimateUCQ.
-UcqCostInputs ComputeUcqCostInputs(const UnionQuery& ucq,
-                                   const CardinalityEstimator& estimator);
-
-/// Hierarchy-aware variant (DESIGN.md §12): when `encoding` is non-null,
+/// Computes the aggregates of a materialized UCQ in one pass over its
+/// disjuncts (CardinalityEstimator::EstimateDisjunct): plan-aware
+/// per-disjunct work summed into `scan_sum`, disjunct estimates summed into
+/// `est_result`, in disjunct order.
+///
+/// Hierarchy-aware (DESIGN.md §12): when `encoding` is non-null,
 /// `num_disjuncts` becomes the post-collapse term count of the same
 /// AnalyzeRangeCollapse decomposition the planner executes — each collapsed
 /// range is one term — so the c_union_term charge prices the plan the
 /// engine will actually run. `scan_sum` is unchanged: a range scan reads
 /// exactly the rows its member scans would (the win is per-term overhead,
-/// not per-tuple work). Null `encoding` degrades to the plain variant.
+/// not per-tuple work).
+///
+/// A non-null `memo` serves the atom statistics of one planning
+/// (AtomStatistics); the result is bit-identical either way.
 UcqCostInputs ComputeUcqCostInputs(const UnionQuery& ucq,
                                    const CardinalityEstimator& estimator,
-                                   const HierarchyEncoding* encoding);
+                                   const HierarchyEncoding* encoding = nullptr,
+                                   AtomStatistics* memo = nullptr);
 
 /// Ablation variant: scan_sum is the literal eq. (2) measure — the sum of
 /// the per-triple cardinalities Σ_CQ Σ_t |CQ{t}| — instead of the
 /// plan-aware work. Used to quantify the deviation documented in DESIGN.md.
 UcqCostInputs ComputeUcqCostInputsLiteral(
-    const UnionQuery& ucq, const CardinalityEstimator& estimator);
+    const UnionQuery& ucq, const CardinalityEstimator& estimator,
+    AtomStatistics* memo = nullptr);
 
 }  // namespace rdfopt
 

@@ -37,39 +37,65 @@ void EstimateFeedbackStore::Record(const ConjunctiveQuery& cq,
   records->Increment();
 
   std::string key = FragmentKey(cq);
+  const uint64_t shape = FragmentShape(cq);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    it->second = options_.ewma_alpha * actual +
-                 (1.0 - options_.ewma_alpha) * it->second;
+    it->second.rows = options_.ewma_alpha * actual +
+                      (1.0 - options_.ewma_alpha) * it->second.rows;
     return;
   }
   while (entries_.size() >= options_.max_entries &&
          !insertion_order_.empty()) {
-    entries_.erase(insertion_order_.front());
+    auto evicted = entries_.find(insertion_order_.front());
+    const uint64_t evicted_shape = evicted->second.shape;
+    auto count = shapes_.find(evicted_shape);
+    if (--count->second == 0) shapes_.erase(count);
+    shape_slots_[evicted_shape % kShapeSlots].fetch_sub(
+        1, std::memory_order_release);
+    entries_.erase(evicted);
     insertion_order_.pop_front();
     evictions->Increment();
   }
   insertion_order_.push_back(key);
-  entries_.emplace(std::move(key), actual);
+  entries_.emplace(std::move(key), Entry{actual, shape});
+  ++shapes_[shape];
+  shape_slots_[shape % kShapeSlots].fetch_add(1, std::memory_order_release);
 }
 
 std::optional<double> EstimateFeedbackStore::Lookup(
     const ConjunctiveQuery& cq) const {
-  static MetricCounter* hits =
+  return Lookup(cq, FragmentShape(cq));
+}
+
+std::optional<double> EstimateFeedbackStore::Lookup(const ConjunctiveQuery& cq,
+                                                    uint64_t shape) const {
+  // Registered on the first lookup, hit or not, so `!prom` always has them.
+  static MetricCounter* const hits =
       MetricsRegistry::Global().GetCounter("cost.feedback_hits");
-  const std::string key = FragmentKey(cq);
+  static MetricCounter* const key_builds =
+      MetricsRegistry::Global().GetCounter("cost.feedback_key_builds");
+  if (shape_slots_[shape % kShapeSlots].load(std::memory_order_acquire) ==
+      0) {
+    return std::nullopt;
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
+  if (!shapes_.contains(shape)) return std::nullopt;
+  key_builds->Increment();
+  auto it = entries_.find(FragmentKey(cq));
   if (it == entries_.end()) return std::nullopt;
   hits->Increment();
-  return it->second;
+  return it->second.rows;
 }
 
 void EstimateFeedbackStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   insertion_order_.clear();
+  shapes_.clear();
+  for (std::atomic<uint32_t>& count : shape_slots_) {
+    count.store(0, std::memory_order_release);
+  }
 }
 
 size_t EstimateFeedbackStore::size() const {

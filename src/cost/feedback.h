@@ -1,7 +1,10 @@
 #ifndef RDFOPT_COST_FEEDBACK_H_
 #define RDFOPT_COST_FEEDBACK_H_
 
+#include <array>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -29,9 +32,19 @@ struct PhysicalPlan;
 /// and golden EXPLAIN tests must stay order-independent, which an
 /// always-consulted global store would break.
 ///
-/// Thread-safe; bounded by FIFO eviction (`max_entries`); cleared wholesale
-/// on snapshot epoch changes — observations against retired data must not
-/// steer planning against the new store.
+/// Lookups cost only on a hit (DESIGN.md §8). Cover search asks about every
+/// reformulated disjunct and plan-work prefix it prices, and nearly all of
+/// them were never executed. Next to the key map the store keeps a counted
+/// index of the entries' FragmentShapes: Lookup hashes the conjunction's
+/// shape and builds the FragmentKey string only when some entry has that
+/// shape. Equal keys imply equal shapes, so the filter never hides an
+/// entry.
+///
+/// Thread-safe (one mutex, taken at most once per call); bounded by FIFO
+/// eviction
+/// (`max_entries`); cleared wholesale on snapshot epoch changes —
+/// observations against retired data must not steer planning against the
+/// new store.
 class EstimateFeedbackStore {
  public:
   struct Options {
@@ -50,8 +63,12 @@ class EstimateFeedbackStore {
               size_t actual_rows);
 
   /// Observed (EWMA) row count of the fragment, if it has been executed
-  /// under this store; nullopt otherwise.
+  /// under this store; nullopt otherwise. Builds the FragmentKey only when
+  /// the fragment's shape is indexed (counted in `cost.feedback_key_builds`).
   std::optional<double> Lookup(const ConjunctiveQuery& cq) const;
+  /// The same, with `shape` == FragmentShape(cq) already computed.
+  std::optional<double> Lookup(const ConjunctiveQuery& cq,
+                               uint64_t shape) const;
 
   /// Drops every entry (snapshot epoch change).
   void Clear();
@@ -61,9 +78,19 @@ class EstimateFeedbackStore {
  private:
   const Options options_;
   mutable std::mutex mu_;
-  /// FragmentKey → EWMA of the fragment's actual result rows.
-  std::unordered_map<std::string, double> entries_;
+  struct Entry {
+    double rows;     ///< EWMA of the fragment's actual result rows.
+    uint64_t shape;  ///< FragmentShape of the fragment.
+  };
+  std::unordered_map<std::string, Entry> entries_;  ///< By FragmentKey.
   std::deque<std::string> insertion_order_;  ///< FIFO eviction queue.
+  /// The counted shape index: entries per FragmentShape, and the same
+  /// counts folded into slots (shape modulo kShapeSlots) that Lookup reads
+  /// without the mutex to reject most misses before taking it. Both are
+  /// written under `mu_`.
+  std::unordered_map<uint64_t, uint32_t> shapes_;
+  static constexpr size_t kShapeSlots = size_t{1} << 14;
+  std::array<std::atomic<uint32_t>, kShapeSlots> shape_slots_{};
 };
 
 /// Walks an executed plan and records every union disjunct's

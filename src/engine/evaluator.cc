@@ -107,6 +107,38 @@ class NodeTimer {
   explicit NodeTimer(PlanNode*) {}
 };
 #endif
+
+bool HasSharedRef(const PlanNode& node) {
+  if (node.kind == PlanNodeKind::kSharedRef) return true;
+  return std::any_of(node.children.begin(), node.children.end(),
+                     [](const auto& child) { return HasSharedRef(*child); });
+}
+
+/// View-stamped component roots whose union reads a shared subplan.
+void CollectSharedSubplanOwners(const PlanNode& node,
+                                std::vector<const PlanNode*>* out) {
+  if (node.kind == PlanNodeKind::kDedup && !node.view_signature.empty()) {
+    if (HasSharedRef(node)) out->push_back(&node);
+    return;
+  }
+  for (const auto& child : node.children) {
+    CollectSharedSubplanOwners(*child, out);
+  }
+}
+
+/// Marks the shared subplans referenced outside the `served` components.
+void MarkNeededSharedSubplans(const PlanNode& node,
+                              const std::vector<const PlanNode*>& served,
+                              std::vector<bool>* needed) {
+  if (std::find(served.begin(), served.end(), &node) != served.end()) return;
+  if (node.kind == PlanNodeKind::kSharedRef && node.shared_index >= 0 &&
+      static_cast<size_t>(node.shared_index) < needed->size()) {
+    (*needed)[static_cast<size_t>(node.shared_index)] = true;
+  }
+  for (const auto& child : node.children) {
+    MarkNeededSharedSubplans(*child, served, needed);
+  }
+}
 }  // namespace
 
 Status Evaluator::CheckTimeout(const Exec& exec) const {
@@ -444,7 +476,11 @@ Result<RelHandle> Evaluator::ExecDedup(PlanNode* node, Exec* exec) const {
   // set-equal.
   std::shared_ptr<const Relation> view;
   if (views_ != nullptr && !node->view_signature.empty()) {
-    view = views_->Lookup(node->view_signature);
+    const auto& resolved = exec->shared->resolved_views;
+    auto it = std::find_if(resolved.begin(), resolved.end(),
+                           [node](const auto& r) { return r.first == node; });
+    view = it != resolved.end() ? it->second
+                                : views_->Lookup(node->view_signature);
   }
   Relation out{node->out_columns};
   if (view != nullptr) {
@@ -566,16 +602,39 @@ Result<Relation> Evaluator::ExecutePlan(PhysicalPlan* plan,
   // Execute-once shared subplans run first, on the coordinator, so worker
   // tasks can borrow their results read-only. Their scan work, counters and
   // emulated charges are attributed here — exactly once, not per consuming
-  // branch.
+  // branch. A subplan whose every consumer sits in a component served from
+  // a view would run for nothing: those components' views are resolved
+  // now, and only subplans still referenced elsewhere run.
   std::vector<Relation> shared_rels;
   if (!plan->shared_subplans.empty()) {
+    std::vector<const PlanNode*> served;
+    if (views_ != nullptr) {
+      std::vector<const PlanNode*> owners;
+      CollectSharedSubplanOwners(*plan->root, &owners);
+      for (const PlanNode* owner : owners) {
+        std::shared_ptr<const Relation> view =
+            views_->Lookup(owner->view_signature);
+        if (view != nullptr) served.push_back(owner);
+        shared.resolved_views.emplace_back(owner, std::move(view));
+      }
+    }
+    std::vector<bool> needed(plan->shared_subplans.size(), false);
+    MarkNeededSharedSubplans(*plan->root, served, &needed);
     TraceSpan shared_span("engine.shared_subplans");
     shared_span.Attr("count", plan->shared_subplans.size());
     shared_rels.reserve(plan->shared_subplans.size());
-    for (auto& subplan : plan->shared_subplans) {
-      RDFOPT_ASSIGN_OR_RETURN(RelHandle h, ExecNode(subplan.get(), &exec));
+    size_t skipped = 0;
+    for (size_t i = 0; i < plan->shared_subplans.size(); ++i) {
+      PlanNode* subplan = plan->shared_subplans[i].get();
+      if (!needed[i]) {
+        shared_rels.emplace_back(subplan->out_columns);  // Never read.
+        ++skipped;
+        continue;
+      }
+      RDFOPT_ASSIGN_OR_RETURN(RelHandle h, ExecNode(subplan, &exec));
       shared_rels.push_back(std::move(h).Take());
     }
+    if (skipped > 0) shared_span.Attr("skipped", skipped);
     shared.shared_rels = &shared_rels;
   }
 

@@ -212,6 +212,12 @@ class Evaluator {
       /// the coordinator before the tree runs (and before any fan-out), so
       /// worker tasks borrow them read-only without synchronization.
       const std::vector<Relation>* shared_rels = nullptr;
+      /// Views of the components that own shared subplans, looked up by
+      /// ExecutePlan before those subplans run (null: no view), by
+      /// component root. ExecDedup reads these instead of looking up
+      /// again; other components look up when they execute.
+      std::vector<std::pair<const PlanNode*, std::shared_ptr<const Relation>>>
+          resolved_views;
     };
     Shared* shared = nullptr;        // Never null inside ExecNode.
     EvalMetrics* metrics = nullptr;  // Never null inside ExecNode.

@@ -44,6 +44,18 @@ void RecordAnswerMetrics(const AnswerOutcome* outcome, const Status& status) {
   reformulate_ms->Observe(outcome->reformulate_ms);
   total_ms->Observe(outcome->total_ms());
 }
+
+/// Registry counters of one planning's cover pricing, recorded once all of
+/// it is done (the chosen cover assembled).
+void RecordPricingMetrics(const CachingCoverCostOracle& oracle) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  static MetricCounter* disjuncts =
+      registry.GetCounter("optimizer.disjuncts_priced");
+  static MetricCounter* store_counts =
+      registry.GetCounter("optimizer.atom_store_counts");
+  disjuncts->Add(oracle.disjuncts_priced());
+  store_counts->Add(oracle.atom_store_counts());
+}
 }  // namespace
 
 std::string_view StrategyName(Strategy strategy) {
@@ -78,42 +90,60 @@ CachingCoverCostOracle::CachingCoverCostOracle(
       // is also what the engine itself would report).
       effective_disjunct_cap_(
           std::min(options.max_reformulation_disjuncts,
-                   evaluator->profile().max_union_terms)) {}
+                   evaluator->profile().max_union_terms)),
+      atom_stats_(estimator) {}
 
-const CachingCoverCostOracle::FragmentEntry&
-CachingCoverCostOracle::GetFragment(const std::vector<int>& fragment) {
-  FragmentKey key = 0;
-  for (int atom : fragment) key |= uint64_t{1} << atom;
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+size_t CachingCoverCostOracle::FragmentHash::operator()(
+    const std::vector<int>& fragment) const {
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (int atom : fragment) {
+    h = (h ^ static_cast<uint64_t>(atom)) * 0x100000001B3ull;
+  }
+  return static_cast<size_t>(h);
+}
 
-  FragmentEntry entry;
-  // Cache with the widest head (every original variable of the fragment);
-  // cover-specific heads are subsets applied at assembly time.
+ConjunctiveQuery CachingCoverCostOracle::FragmentQuery(
+    const std::vector<int>& fragment) const {
   ConjunctiveQuery fragment_cq;
   for (int atom : fragment) {
     fragment_cq.atoms.push_back(cq_.atoms[static_cast<size_t>(atom)]);
   }
   fragment_cq.head = fragment_cq.AllVariables();
+  return fragment_cq;
+}
 
+const CachingCoverCostOracle::FragmentEntry&
+CachingCoverCostOracle::GetFragment(const std::vector<int>& fragment,
+                                    std::optional<UnionQuery>* ucq) {
+  auto it = cache_.find(fragment);
+  if (it != cache_.end()) return it->second;
+
+  FragmentEntry entry;
+  // Reformulate with the widest head (every original variable of the
+  // fragment); cover-specific heads are subsets applied at assembly time.
+  const ConjunctiveQuery fragment_cq = FragmentQuery(fragment);
   size_t estimate =
       reformulator_->EstimateDisjuncts(fragment_cq, scratch_vars_);
   if (estimate <= effective_disjunct_cap_) {
-    Result<UnionQuery> ucq = reformulator_->ReformulateCQ(
+    entry.vars_mark = scratch_vars_.watermark();
+    Result<UnionQuery> reformulated = reformulator_->ReformulateCQ(
         fragment_cq, &scratch_vars_, effective_disjunct_cap_);
-    if (ucq.ok()) {
-      entry.ucq = ucq.TakeValue();
+    if (reformulated.ok()) {
+      const UnionQuery& fragment_ucq = reformulated.ValueOrDie();
       // With hierarchy ranges on, fragments are priced (and declared
       // feasible) on their post-collapse term counts — the terms the engine
-      // will actually run (cost_model.h, the hierarchy-aware overload).
+      // will actually run (cost_model.h).
       const HierarchyEncoding* encoding =
           evaluator_->profile().hierarchy_ranges
               ? estimator_->store()->hierarchy()
               : nullptr;
       entry.inputs =
           options_.literal_scan_sums
-              ? ComputeUcqCostInputsLiteral(entry.ucq, *estimator_)
-              : ComputeUcqCostInputs(entry.ucq, *estimator_, encoding);
+              ? ComputeUcqCostInputsLiteral(fragment_ucq, *estimator_,
+                                            &atom_stats_)
+              : ComputeUcqCostInputs(fragment_ucq, *estimator_, encoding,
+                                     &atom_stats_);
+      disjuncts_priced_ += fragment_ucq.size();
       entry.feasible = true;
       if (options_.use_engine_cost_model) {
         // Plan the fragment's component once; its cost and result estimate
@@ -121,13 +151,14 @@ CachingCoverCostOracle::GetFragment(const std::vector<int>& fragment) {
         // candidate cover containing this fragment prices it from the cache
         // instead of re-planning.
         Planner planner(estimator_, &evaluator_->profile());
-        PhysicalPlan plan = planner.PlanUCQ(entry.ucq);
+        PhysicalPlan plan = planner.PlanUCQ(fragment_ucq);
         entry.engine_cost = plan.est_cost();
         entry.engine_est_rows = plan.root->est_rows;
       }
+      if (ucq != nullptr) *ucq = reformulated.TakeValue();
     }
   }
-  return cache_.emplace(key, std::move(entry)).first->second;
+  return cache_.emplace(fragment, std::move(entry)).first->second;
 }
 
 double CachingCoverCostOracle::FragmentCost(const std::vector<int>& fragment) {
@@ -194,24 +225,33 @@ Result<JoinOfUnions> CachingCoverCostOracle::AssembleJucq(const Cover& cover,
   JoinOfUnions jucq;
   jucq.head = cq_.head;
   for (size_t i = 0; i < cover.fragments.size(); ++i) {
-    const FragmentEntry& entry = GetFragment(cover.fragments[i]);
+    std::optional<UnionQuery> ucq;
+    const FragmentEntry& entry = GetFragment(cover.fragments[i], &ucq);
     if (!entry.feasible) {
       return Status::QueryTooComplex(
           "fragment reformulation exceeds the materialization cap of " +
           std::to_string(effective_disjunct_cap_) + " disjuncts");
     }
+    if (!ucq.has_value()) {
+      // Priced earlier and dropped: replay the reformulation from the
+      // table's state at that time, so it draws the same fresh variables.
+      VarTable replay = scratch_vars_.AsOf(entry.vars_mark);
+      Result<UnionQuery> again = reformulator_->ReformulateCQ(
+          FragmentQuery(cover.fragments[i]), &replay, effective_disjunct_cap_);
+      RDFOPT_RETURN_NOT_OK(again.status());
+      ucq = again.TakeValue();
+    }
     ConjunctiveQuery cover_query = BuildCoverQuery(cq_, cover, i);
     UnionQuery component;
     component.head = cover_query.head;
-    component.disjuncts.reserve(entry.ucq.disjuncts.size());
-    for (const ConjunctiveQuery& cached : entry.ucq.disjuncts) {
-      if (options_.prune_empty_disjuncts && DisjunctIsEmpty(cached)) {
+    component.disjuncts.reserve(ucq->disjuncts.size());
+    for (ConjunctiveQuery& disjunct : ucq->disjuncts) {
+      if (options_.prune_empty_disjuncts && DisjunctIsEmpty(disjunct)) {
         if (pruned != nullptr) ++*pruned;
         continue;
       }
-      ConjunctiveQuery disjunct = cached;
       disjunct.head = cover_query.head;
-      // head_bindings cached for the widest head remain valid: projection
+      // head_bindings made for the widest head remain valid: projection
       // only consults bindings of variables in the (narrower) head.
       component.disjuncts.push_back(std::move(disjunct));
     }
@@ -288,9 +328,10 @@ Result<AnswerOutcome> QueryAnswerer::AnswerByCover(
   JoinOfUnions jucq;
   {
     TraceSpan span("answer.reformulate");
-    RDFOPT_ASSIGN_OR_RETURN(
-        jucq, oracle->AssembleJucq(cover, &vars,
-                                   &outcome.pruned_union_terms));
+    Result<JoinOfUnions> assembled =
+        oracle->AssembleJucq(cover, &vars, &outcome.pruned_union_terms);
+    RecordPricingMetrics(*oracle);
+    RDFOPT_ASSIGN_OR_RETURN(jucq, std::move(assembled));
     outcome.reformulate_ms = reformulate_timer.ElapsedMillis();
     outcome.num_components = jucq.components.size();
     for (const UnionQuery& component : jucq.components) {
@@ -420,6 +461,8 @@ Result<AnswerOutcome> QueryAnswerer::AnswerImpl(
                      : GreedyCoverSearch(effective->cq, &oracle,
                                          options.optimizer_time_budget_s);
         span.Attr("covers_examined", search.covers_examined);
+        span.Attr("disjuncts_priced", oracle.disjuncts_priced());
+        span.Attr("atom_store_counts", oracle.atom_store_counts());
         span.Attr("best_cost", search.best_cost);
         if (search.timed_out) span.Attr("timed_out", true);
         if (span.active() && !search.best_cover.fragments.empty()) {

@@ -115,10 +115,16 @@ struct AnswerOutcome {
 };
 
 /// Cost oracle over the §4.1 model (or the engine's EXPLAIN), with
-/// per-fragment caching of reformulations and aggregates: the paper's
-/// optimizer time is dominated by "intensive calls to the reformulation and
-/// cardinality estimation algorithms", which the cache bounds to one per
-/// distinct fragment.
+/// per-fragment caching of cost inputs: the paper's optimizer time is
+/// dominated by "intensive calls to the reformulation and cardinality
+/// estimation algorithms". The cache bounds reformulation to one per
+/// distinct fragment, and the oracle's AtomStatistics bound store counts to
+/// one per distinct atom (DESIGN.md §12). An examined fragment keeps only
+/// its cost inputs; AssembleJucq reformulates the chosen cover's fragments
+/// again, replaying the variable table from each fragment's recorded
+/// watermark so fresh variables get the same ids and names.
+///
+/// Lives for one planning (one Answer call) on one thread.
 class CachingCoverCostOracle : public CoverCostOracle {
  public:
   CachingCoverCostOracle(const ConjunctiveQuery& cq, const VarTable& vars,
@@ -132,12 +138,19 @@ class CachingCoverCostOracle : public CoverCostOracle {
 
   const AnswerOptions& options() const { return options_; }
 
-  /// Reuses the cache to produce the executable JUCQ of `cover` (fragment
-  /// UCQs with proper cover-query heads). `vars` receives fresh variables.
-  /// When the options enable data-aware pruning, empty-on-this-store
-  /// disjuncts are dropped and counted into `*pruned`, if non-null.
+  /// Reformulates the fragments of `cover` into the executable JUCQ
+  /// (fragment UCQs with proper cover-query heads). `vars` receives fresh
+  /// variables. When the options enable data-aware pruning,
+  /// empty-on-this-store disjuncts are dropped and counted into `*pruned`,
+  /// if non-null.
   Result<JoinOfUnions> AssembleJucq(const Cover& cover, VarTable* vars,
                                     size_t* pruned = nullptr);
+
+  /// Reformulated disjuncts priced so far (`optimizer.disjuncts_priced`).
+  size_t disjuncts_priced() const { return disjuncts_priced_; }
+  /// Store counts computed so far, one per distinct atom pattern
+  /// (`optimizer.atom_store_counts`).
+  size_t atom_store_counts() const { return atom_stats_.store_counts(); }
 
  private:
   /// CoverCost minus the per-candidate trace span.
@@ -145,7 +158,9 @@ class CachingCoverCostOracle : public CoverCostOracle {
 
   struct FragmentEntry {
     bool feasible = false;
-    UnionQuery ucq;  // Head = all original variables of the fragment.
+    /// The variable table's state just before the fragment was
+    /// reformulated; replaying from it reproduces the fragment's UCQ.
+    VarTable::Watermark vars_mark;
     UcqCostInputs inputs;
     /// Engine-model (Fig 9 alternative) cost and result estimate of the
     /// fragment's component plan. Head-independent, so cacheable per
@@ -154,9 +169,18 @@ class CachingCoverCostOracle : public CoverCostOracle {
     double engine_cost = 0.0;
     double engine_est_rows = 0.0;
   };
-  using FragmentKey = uint64_t;  // Atom-index bitmask.
+  struct FragmentHash {
+    size_t operator()(const std::vector<int>& fragment) const;
+  };
 
-  const FragmentEntry& GetFragment(const std::vector<int>& fragment);
+  /// The cached entry of `fragment` (its sorted atom indices), computed on
+  /// first sight. When that computation happens and `ucq` is non-null, the
+  /// fragment's UCQ (head = every original variable of the fragment) is
+  /// moved into `*ucq` instead of being dropped.
+  const FragmentEntry& GetFragment(const std::vector<int>& fragment,
+                                   std::optional<UnionQuery>* ucq = nullptr);
+  /// The fragment's atoms, headed by all their variables.
+  ConjunctiveQuery FragmentQuery(const std::vector<int>& fragment) const;
   /// True iff some atom of the disjunct matches nothing in the store.
   bool DisjunctIsEmpty(const ConjunctiveQuery& disjunct) const;
 
@@ -167,7 +191,10 @@ class CachingCoverCostOracle : public CoverCostOracle {
   const Evaluator* evaluator_;
   AnswerOptions options_;
   size_t effective_disjunct_cap_;
-  std::unordered_map<FragmentKey, FragmentEntry> cache_;
+  AtomStatistics atom_stats_;
+  size_t disjuncts_priced_ = 0;
+  /// By atom list: any number of atoms, unlike a 64-bit mask.
+  std::unordered_map<std::vector<int>, FragmentEntry, FragmentHash> cache_;
 };
 
 /// The query answering front end of Figure 1: reformulation algorithm +

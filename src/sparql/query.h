@@ -68,6 +68,18 @@ class VarTable {
   const std::string& name(VarId v) const { return names_[v]; }
   size_t size() const { return names_.size(); }
 
+  /// A point in the table's growth: later GetOrCreate/Fresh calls append
+  /// after it.
+  struct Watermark {
+    size_t size = 0;
+    uint64_t next_fresh = 0;
+  };
+  Watermark watermark() const { return {names_.size(), next_fresh_}; }
+
+  /// A copy of this table as it was at `mark`, taken from this table: the
+  /// same calls replayed on it create the same ids and names again.
+  VarTable AsOf(Watermark mark) const;
+
  private:
   std::vector<std::string> names_;
   uint64_t next_fresh_ = 0;

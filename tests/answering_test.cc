@@ -135,6 +135,43 @@ TEST_F(AnsweringTest, GcovProducesValidCoverAndMetrics) {
   EXPECT_GT(o.union_terms, 0u);
 }
 
+// BGPs of 64 atoms and more: the oracle's fragment cache once keyed
+// fragments by a 64-bit atom mask, so atom 64 aliased atom 0 and the
+// singleton cover priced and evaluated GraduateStudent in place of
+// UndergraduateStudent. No student is both, so every strategy must return
+// no rows, like saturation.
+TEST_F(AnsweringTest, WideBgpMatchesSaturation) {
+  for (size_t atoms : {63, 64, 65}) {
+    std::string text =
+        "PREFIX ub: <http://lubm.example.org/univ#> "
+        "SELECT ?x WHERE { ?x rdf:type ub:GraduateStudent . ";
+    for (size_t k = 0; k + 2 < atoms; ++k) {
+      text += "?x ub:advisor ?a" + std::to_string(k) + " . ";
+    }
+    text += "?x rdf:type ub:UndergraduateStudent . }";
+    Query q = MustParse(text);
+    ASSERT_EQ(q.cq.atoms.size(), atoms);
+    AnswerOptions saturation;
+    saturation.strategy = Strategy::kSaturation;
+    Result<AnswerOutcome> reference = answerer_->Answer(q, saturation);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    for (Strategy s : {Strategy::kUcq, Strategy::kScq, Strategy::kGcov}) {
+      AnswerOptions options;
+      options.strategy = s;
+      // GCov is anytime; its first round of moves already prices thousands
+      // of covers of a 65-atom star, and any cover it stops at must answer
+      // like saturation.
+      options.optimizer_time_budget_s = 0.0;
+      Result<AnswerOutcome> r = answerer_->Answer(q, options);
+      ASSERT_TRUE(r.ok()) << atoms << " atoms, " << StrategyName(s) << ": "
+                          << r.status().ToString();
+      EXPECT_EQ(RowSet(r.ValueOrDie().answers),
+                RowSet(reference.ValueOrDie().answers))
+          << atoms << " atoms, " << StrategyName(s);
+    }
+  }
+}
+
 TEST_F(AnsweringTest, UcqFailsOnHugeReformulationGcovSurvives) {
   // Q28 (the paper's q2): its UCQ reformulation exceeds every profile's
   // plan limit, while GCov picks an evaluable JUCQ.

@@ -1,11 +1,17 @@
 #include "cost/cardinality.h"
 
+#include <algorithm>
+#include <unordered_map>
+
 #include <gtest/gtest.h>
 
 #include "engine/evaluator.h"
+#include "engine/planner.h"
 #include "rdf/graph.h"
+#include "reformulation/reformulator.h"
 #include "sparql/parser.h"
 #include "workload/lubm.h"
+#include "workload/query_sets.h"
 
 namespace rdfopt {
 namespace {
@@ -174,6 +180,114 @@ TEST(CardinalityLubmTest, EstimatesWithinEnvelope) {
       EXPECT_GT(estimate / actual, 0.01) << text;
     }
   }
+}
+
+/// The System-R estimate as EstimateCQ computed it before it was built atom
+/// by atom: every EstimateDistinct re-counts its atom, and the divisions run
+/// over a std::unordered_map. `distinct_divisors` reports whether two
+/// dividing variables divided by different values (the order-sensitive
+/// case).
+double ReferenceEstimateCQ(const CardinalityEstimator& estimator,
+                           const ConjunctiveQuery& cq,
+                           bool* distinct_divisors = nullptr) {
+  double product = 1.0;
+  std::unordered_map<VarId, std::pair<int, double>> vars;
+  for (const TriplePattern& atom : cq.atoms) {
+    product *= estimator.EstimateAtom(atom);
+    std::vector<VarId> atom_vars;
+    atom.AppendVariables(&atom_vars);
+    std::sort(atom_vars.begin(), atom_vars.end());
+    atom_vars.erase(std::unique(atom_vars.begin(), atom_vars.end()),
+                    atom_vars.end());
+    for (VarId v : atom_vars) {
+      double d = estimator.EstimateDistinct(atom, v);
+      auto& [count, max_d] = vars[v];
+      ++count;
+      max_d = std::max(max_d, d);
+    }
+  }
+  if (distinct_divisors != nullptr) {
+    double first = 0.0;
+    for (const auto& [v, info] : vars) {
+      if (info.first < 2) continue;
+      const double d = std::max(1.0, info.second);
+      if (first == 0.0) first = d;
+      if (d != first) *distinct_divisors = true;
+    }
+  }
+  if (product == 0.0) return 0.0;
+  for (const auto& [v, info] : vars) {
+    const auto& [count, max_d] = info;
+    for (int i = 1; i < count; ++i) product /= std::max(1.0, max_d);
+  }
+  return product;
+}
+
+/// EstimateCqPlanWork as it was: every prefix re-estimated from scratch.
+double ReferencePlanWork(const CardinalityEstimator& estimator,
+                         const ConjunctiveQuery& cq) {
+  if (cq.atoms.empty()) return 0.0;
+  std::vector<double> cards;
+  for (const TriplePattern& atom : cq.atoms) {
+    cards.push_back(estimator.EstimateAtom(atom));
+  }
+  const std::vector<size_t> order = GreedyAtomOrder(cq.atoms, cards);
+  double work = cards[order[0]];
+  double inter = cards[order[0]];
+  ConjunctiveQuery prefix;
+  prefix.atoms.push_back(cq.atoms[order[0]]);
+  for (size_t step = 1; step < cq.atoms.size(); ++step) {
+    prefix.atoms.push_back(cq.atoms[order[step]]);
+    double out = ReferenceEstimateCQ(estimator, prefix);
+    work += inter + out;
+    inter = out;
+  }
+  return work;
+}
+
+// The one-pass, memoized estimates cover search prices with are the same
+// doubles as the historical per-call formulas, on every disjunct of every
+// LUBM query's reformulation — including disjuncts whose join variables
+// divide by different values, where the division order shows in the bits.
+TEST(CardinalityLubmTest, OnePassEstimatesMatchReferenceBitForBit) {
+  Graph g;
+  LubmOptions options;
+  options.num_universities = 1;
+  GenerateLubm(options, &g);
+  g.FinalizeSchema();
+  TripleStore store = TripleStore::Build(g.data_triples());
+  Statistics stats = Statistics::Compute(store);
+  CardinalityEstimator estimator(&store, &stats);
+  Reformulator reformulator(&g.schema(), &g.vocab());
+  AtomStatistics memo(&estimator);
+  size_t disjuncts = 0;
+  size_t order_sensitive = 0;
+  for (const BenchmarkQuery& bq : LubmQuerySet()) {
+    Result<Query> q = ParseQuery(bq.text, &g.dict());
+    ASSERT_TRUE(q.ok()) << bq.name;
+    Query query = q.TakeValue();
+    Result<UnionQuery> ucq =
+        reformulator.ReformulateCQ(query.cq, &query.vars, 4096);
+    if (!ucq.ok()) continue;
+    for (const ConjunctiveQuery& cq : ucq.ValueOrDie().disjuncts) {
+      ++disjuncts;
+      bool distinct_divisors = false;
+      const double rows = ReferenceEstimateCQ(estimator, cq,
+                                              &distinct_divisors);
+      if (distinct_divisors) ++order_sensitive;
+      const double work = ReferencePlanWork(estimator, cq);
+      const CardinalityEstimator::DisjunctEstimate one_pass =
+          estimator.EstimateDisjunct(cq, &memo);
+      EXPECT_EQ(one_pass.rows, rows) << bq.name;
+      EXPECT_EQ(one_pass.plan_work, work) << bq.name;
+      EXPECT_EQ(estimator.EstimateCQ(cq), rows) << bq.name;
+      EXPECT_EQ(estimator.EstimateCqPlanWork(cq), work) << bq.name;
+    }
+  }
+  EXPECT_GT(disjuncts, 1000u);
+  EXPECT_GT(order_sensitive, 0u) << "no disjunct exercised the division order";
+  // One store count per distinct atom pattern, not per disjunct atom.
+  EXPECT_LT(memo.store_counts(), disjuncts);
 }
 
 }  // namespace

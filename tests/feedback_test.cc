@@ -163,6 +163,37 @@ TEST(EstimateFeedbackStoreTest, FifoEvictionBoundsTheStore) {
   EXPECT_TRUE(store.Lookup(cqs[2]).has_value());
 }
 
+// The shape index counts entries per shape: a chain and a star over one
+// predicate share a shape (the shape forgets how atoms share variables) but
+// not a key. Evicting one must leave the other findable, and Clear must
+// empty the index so a re-recorded fragment is found again.
+TEST(EstimateFeedbackStoreTest, ShapeIndexCountsEntriesPerShape) {
+  EstimateFeedbackStore::Options options;
+  options.max_entries = 2;
+  EstimateFeedbackStore store(options);
+  ConjunctiveQuery chain = SymmetricChains().first;
+  ConjunctiveQuery star = chain;
+  star.atoms[1].s = star.atoms[0].s;  // (?0 p ?1), (?0 p ?2).
+  ASSERT_NE(FragmentKey(chain), FragmentKey(star));
+  ASSERT_EQ(FragmentShape(chain), FragmentShape(star));
+  ConjunctiveQuery other = TwoAtomCq();
+  ASSERT_NE(FragmentShape(other), FragmentShape(chain));
+
+  store.Record(chain, 1.0, 7);
+  store.Record(star, 1.0, 9);
+  store.Record(other, 1.0, 11);  // Evicts `chain`.
+  EXPECT_FALSE(store.Lookup(chain).has_value());
+  ASSERT_TRUE(store.Lookup(star).has_value());
+  EXPECT_DOUBLE_EQ(*store.Lookup(star), 9.0);
+  ASSERT_TRUE(store.Lookup(other).has_value());
+
+  store.Clear();
+  EXPECT_FALSE(store.Lookup(star).has_value());
+  store.Record(star, 1.0, 3);
+  ASSERT_TRUE(store.Lookup(star).has_value());
+  EXPECT_DOUBLE_EQ(*store.Lookup(star), 3.0);
+}
+
 TEST(EstimateFeedbackStoreTest, ClearDropsEverything) {
   EstimateFeedbackStore store;
   store.Record(TwoAtomCq(), 10.0, 5);
